@@ -228,6 +228,14 @@ def check_property_2(a: Iterable[Edge], b: Iterable[Edge], d: Decomposition) -> 
     return Verdict(lhs == rhs, "" if lhs == rhs else f"size difference {lhs} != {rhs}")
 
 
+def _property_3(gap: int, d: Decomposition) -> Verdict:
+    if d.odd_paths_b:
+        return Verdict(False, f"odd path starting opposite: {d.odd_paths_b[0].edges}")
+    if gap != len(d.odd_paths_a):
+        return Verdict(False, f"gap {gap} != {len(d.odd_paths_a)} odd paths")
+    return Verdict(True)
+
+
 def check_property_3(g: Graph, m: Iterable[Edge], h: Iterable[Edge]) -> Verdict:
     """Against a maximum matching no odd path starts on the other side,
     and the size gap equals the number of odd maximum-side paths.
@@ -238,22 +246,19 @@ def check_property_3(g: Graph, m: Iterable[Edge], h: Iterable[Edge]) -> Verdict:
     m, h = frozenset(m), frozenset(h)
     if len(m) != len(max_matching(g)):
         raise ValueError("first matching is not maximum")
-    d = decompose(g, m, h)
+    return _property_3(len(m) - len(h), decompose(g, m, h))
+
+
+def _property_4(d: Decomposition) -> Verdict:
     if d.odd_paths_b:
-        return Verdict(False, f"odd path starting opposite: {d.odd_paths_b[0].edges}")
-    gap = len(m) - len(h)
-    if gap != len(d.odd_paths_a):
-        return Verdict(False, f"gap {gap} != {len(d.odd_paths_a)} odd paths")
+        return Verdict(False, f"odd path starting in the smaller side: {d.odd_paths_b[0].edges}")
     return Verdict(True)
 
 
 def check_property_4(g: Graph, h: Iterable[Edge], h_prime: Iterable[Edge]) -> Verdict:
     """For an optimal pair, no odd path starts from the smaller side.
     Meaningful only when (h, h_prime) attains both pair optima."""
-    d = decompose(g, h, h_prime)
-    if d.odd_paths_b:
-        return Verdict(False, f"odd path starting in the smaller side: {d.odd_paths_b[0].edges}")
-    return Verdict(True)
+    return _property_4(decompose(g, h, h_prime))
 
 
 @dataclass(frozen=True)
@@ -393,8 +398,8 @@ def verify_lemmas(g: Graph, t: CanonicalTriple) -> LemmaReport:
         all(v.ok for v in p2_parts),
         "; ".join(v.detail for v in p2_parts if not v.ok),
     )
-    checks["p3_max_matching_paths"] = check_property_3(g, m, h)
-    checks["p4_optimal_pair_paths"] = check_property_4(g, h, hp)
+    checks["p3_max_matching_paths"] = _property_3(gap, d_mh)
+    checks["p4_optimal_pair_paths"] = _property_4(d_hhp)
 
     bad = []
     if d_mh.cycles:

@@ -9,6 +9,8 @@ which is exactly what ``find_augmenting_path`` returning ``None`` means.
 ``max_matching_bruteforce`` is the independent oracle: exhaustive search
 over edge subsets with non-adjacency pruning, used by the test suite to
 validate the augmenting-path code and never called by it.
+``maximum_matchings`` and the pair oracles in ``pairs`` list matchings
+through one private take-then-skip search, ``_matchings``.
 """
 
 from __future__ import annotations
@@ -251,23 +253,20 @@ def max_matching_bruteforce(g: Graph) -> frozenset[Edge]:
     return frozenset(best)
 
 
-def maximum_matchings(g: Graph) -> list[frozenset[Edge]]:
-    """All maximum matchings of ``g``, for exhaustive triple searches.
-
-    Exponential in general; callers enforce their own edge ceilings.
-    """
-    target = len(max_matching(g))
-    edges = sorted(g.edges)
+def _matchings(edges: list[Edge], size: int | None = None) -> list[frozenset[Edge]]:
+    """Every matching over ``edges`` (the empty one included), or only those
+    with exactly ``size`` edges, in take-then-skip depth-first order."""
     masks = [(1 << u) | (1 << v) for u, v in edges]
     count = len(edges)
+    floor = size or 0
     out: list[frozenset[Edge]] = []
     chosen: list[Edge] = []
 
     def search(i: int, used: int) -> None:
-        if len(chosen) == target:
-            out.append(frozenset(chosen))
+        if len(chosen) + (count - i) < floor:
             return
-        if len(chosen) + (count - i) < target:
+        if len(chosen) == size or i == count:
+            out.append(frozenset(chosen))
             return
         if not used & masks[i]:
             chosen.append(edges[i])
@@ -277,3 +276,11 @@ def maximum_matchings(g: Graph) -> list[frozenset[Edge]]:
 
     search(0, 0)
     return out
+
+
+def maximum_matchings(g: Graph) -> list[frozenset[Edge]]:
+    """All maximum matchings of ``g``, for exhaustive triple searches.
+
+    Exponential in general; callers enforce their own edge ceilings.
+    """
+    return _matchings(sorted(g.edges), len(max_matching(g)))

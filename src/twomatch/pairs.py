@@ -17,7 +17,10 @@ never silently mis-answered.
 ``solve_pair_bruteforce`` is the independent oracle: it enumerates every
 matching H outright and pairs it with an exhaustively computed maximum
 matching of the graph minus H's edges, sharing no code with the branch
-and bound.
+and bound.  ``enumerate_m2`` reads every optimal pair off that same scan:
+each H of size alpha2 whose partner has lambda2 - alpha2 edges, followed
+by every maximum matching of the graph minus H's edges.  So the triple
+search scans each graph once.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import Edge, Graph
-from .matching import maximum_matchings
+from .matching import _matchings, max_matching_bruteforce, maximum_matchings
 
 __all__ = [
     "PairResult",
@@ -207,25 +210,29 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
     return PairResult(len(h) + len(hp), len(h), h, hp, status, nodes)
 
 
-def _all_matchings(edges: list[Edge]) -> list[frozenset[Edge]]:
-    """Every matching (including the empty one) over the given edges."""
-    masks = [(1 << u) | (1 << v) for u, v in edges]
-    count = len(edges)
-    out: list[frozenset[Edge]] = []
-    chosen: list[Edge] = []
+def _scan(g: Graph) -> list[tuple[frozenset[Edge], frozenset[Edge]]]:
+    """Every matching H of ``g`` in scan order, each with the exhaustive
+    oracle's maximum matching of the graph without H's edges."""
+    return [
+        (h, max_matching_bruteforce(Graph(g.n, g.edges - h)))
+        for h in _matchings(sorted(g.edges))
+    ]
 
-    def search(i: int, used: int) -> None:
-        if i == count:
-            out.append(frozenset(chosen))
-            return
-        if not used & masks[i]:
-            chosen.append(edges[i])
-            search(i + 1, used | masks[i])
-            chosen.pop()
-        search(i + 1, used)
 
-    search(0, 0)
-    return out
+def _best_pair(scan: list[tuple[frozenset[Edge], frozenset[Edge]]]) -> PairResult:
+    """Best total, then largest side, with the first such scan entry as
+    the witness."""
+    best_total = 0
+    best_side = 0
+    best: tuple[frozenset[Edge], frozenset[Edge]] = (frozenset(), frozenset())
+    for h, partner in scan:
+        total = len(h) + len(partner)
+        side = max(len(h), len(partner))
+        if total > best_total or (total == best_total and side > best_side):
+            best_total = total
+            best_side = side
+            best = (h, partner) if len(h) >= len(partner) else (partner, h)
+    return PairResult(best_total, best_side, best[0], best[1])
 
 
 def solve_pair_bruteforce(g: Graph) -> PairResult:
@@ -236,63 +243,30 @@ def solve_pair_bruteforce(g: Graph) -> PairResult:
     exhaustive matching oracle.  Totals and the larger side are read off
     the full scan, so no branch-and-bound machinery is shared.
     """
-    from .matching import max_matching_bruteforce
-
     if g.m > PAIR_ORACLE_MAX_EDGES:
         raise ValueError(f"oracle ceiling is {PAIR_ORACLE_MAX_EDGES} edges")
-    best_total = 0
-    best_side = 0
-    best: tuple[frozenset[Edge], frozenset[Edge]] = (frozenset(), frozenset())
-    for h in _all_matchings(sorted(g.edges)):
-        rest = Graph(g.n, g.edges - h)
-        partner = max_matching_bruteforce(rest)
-        total = len(h) + len(partner)
-        side = max(len(h), len(partner))
-        if total > best_total or (total == best_total and side > best_side):
-            best_total = total
-            best_side = side
-            best = (h, partner) if len(h) >= len(partner) else (partner, h)
-    return PairResult(best_total, best_side, best[0], best[1])
+    return _best_pair(_scan(g))
 
 
 def enumerate_m2(g: Graph) -> Iterator[tuple[frozenset[Edge], frozenset[Edge]]]:
     """Yield every ordered optimal pair: total equal to the best total and
     first side equal to the largest attainable side, each exactly once.
 
-    Order is deterministic: depth-first over lexicographically sorted
-    edges with branch order (unused, first side, second side).
+    The pairs are read off the oracle's one scan: H runs over the
+    matchings of size alpha2 whose removal leaves matching number
+    lambda2 - alpha2, in scan order, and for each H the second side runs
+    over the maximum matchings of the graph without H's edges, in
+    take-then-skip order over sorted edges.
     """
     if g.m > PAIR_ORACLE_MAX_EDGES:
         raise ValueError(f"enumeration ceiling is {PAIR_ORACLE_MAX_EDGES} edges")
-    opt = solve_pair_bruteforce(g)
-    lam, alpha = opt.lambda2, opt.alpha2
-    beta = lam - alpha
-    edges = sorted(g.edges)
-    count = len(edges)
-    masks = [(1 << u) | (1 << v) for u, v in edges]
-    sel1: list[Edge] = []
-    sel2: list[Edge] = []
-
-    def search(i: int, occ1: int, occ2: int) -> Iterator[tuple[frozenset[Edge], frozenset[Edge]]]:
-        c1, c2 = len(sel1), len(sel2)
-        rem = count - i
-        if c1 > alpha or c2 > beta or c1 + rem < alpha or c2 + rem < beta:
-            return
-        if i == count:
-            yield frozenset(sel1), frozenset(sel2)
-            return
-        mask = masks[i]
-        yield from search(i + 1, occ1, occ2)
-        if not occ1 & mask:
-            sel1.append(edges[i])
-            yield from search(i + 1, occ1 | mask, occ2)
-            sel1.pop()
-        if not occ2 & mask:
-            sel2.append(edges[i])
-            yield from search(i + 1, occ1, occ2 | mask)
-            sel2.pop()
-
-    yield from search(0, 0, 0)
+    scan = _scan(g)
+    opt = _best_pair(scan)
+    beta = opt.lambda2 - opt.alpha2
+    for h, partner in scan:
+        if len(h) == opt.alpha2 and len(partner) == beta:
+            for hp in _matchings(sorted(g.edges - h), beta):
+                yield h, hp
 
 
 def canonical_triples(g: Graph) -> list[CanonicalTriple]:

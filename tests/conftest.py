@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import strategies as st
@@ -32,6 +33,24 @@ def greedy_matching(g: Graph, seed: int, keep: float = 0.7) -> frozenset:
             out.add((u, v))
             used.update((u, v))
     return frozenset(out)
+
+
+def all_matchings_by_filtering(g: Graph) -> list[frozenset]:
+    """Independent enumeration: subsets filtered by the matching predicate."""
+    edges = sorted(g.edges)
+    out = []
+    for r in range(len(edges) + 1):
+        for combo in combinations(edges, r):
+            used = set()
+            ok = True
+            for u, v in combo:
+                if u in used or v in used:
+                    ok = False
+                    break
+                used.update((u, v))
+            if ok:
+                out.append(frozenset(combo))
+    return out
 
 
 @st.composite

@@ -24,7 +24,7 @@ from twomatch import (
     maximum_matchings,
 )
 
-from conftest import graph_with_matchings, graphs, petersen
+from conftest import all_matchings_by_filtering, graph_with_matchings, graphs, petersen
 
 
 class TestIsMatching:
@@ -159,6 +159,7 @@ class TestMaximumMatchings:
             nu = len(max_matching(g))
             assert len(set(ms)) == len(ms)
             assert all(len(m) == nu and is_matching(g, m) for m in ms)
+            assert set(ms) == {m for m in all_matchings_by_filtering(g) if len(m) == nu}
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
 
@@ -25,25 +23,7 @@ from twomatch import (
     solve_pair_bruteforce,
 )
 
-from conftest import graphs
-
-
-def all_matchings_by_filtering(g: Graph) -> list[frozenset]:
-    """Independent enumeration: subsets filtered by the matching predicate."""
-    edges = sorted(g.edges)
-    out = []
-    for r in range(len(edges) + 1):
-        for combo in combinations(edges, r):
-            used = set()
-            ok = True
-            for u, v in combo:
-                if u in used or v in used:
-                    ok = False
-                    break
-                used.update((u, v))
-            if ok:
-                out.append(frozenset(combo))
-    return out
+from conftest import all_matchings_by_filtering, graphs
 
 
 def pair_optima_by_filtering(g: Graph) -> tuple[int, int, set]:
@@ -168,8 +148,12 @@ class TestEnumerateM2:
             assert set(got) == expect
 
     def test_matches_filter_oracle_random(self):
-        for i in range(25):
-            g = gen_random(6, 0.4, 6_000 + i)
+        # Two gap = 1 graphs: tight(1) (4 pairs), and tight(1) with a pendant
+        # length-2 path on vertex 0 (12 pairs).
+        tight = gen_tight_family(gen_complete(2))
+        pendant = Graph(tight.n + 2, tight.edges | {(0, tight.n), (tight.n, tight.n + 1)})
+        corpus = [gen_random(6, 0.4, 6_000 + i) for i in range(25)] + [tight, pendant]
+        for g in corpus:
             if g.m > PAIR_ORACLE_MAX_EDGES:
                 continue
             _, _, expect = pair_optima_by_filtering(g)
