@@ -1,7 +1,7 @@
 """Command-line front end: solve, census, verify-lemmas, generate.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error,
-3 node budget exceeded.
+3 node budget exceeded, 141 standard output closed early (broken pipe).
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Iterable
 
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports it
 
 _CSV_COLUMNS = [
     "source",
@@ -81,7 +83,7 @@ def _csv_row(r) -> dict:
         "lambda2": r.lambda2,
         "alpha2": r.alpha2,
         "ratio": r.ratio or "",
-        "ratio_ok": int(r.ratio_ok),
+        "ratio_ok": "" if r.ratio_ok is None else int(r.ratio_ok),
         "status": r.status,
         "lemmas_passed": lem.passed if lem.checked else "",
         "lemmas_failed": lem.failed if lem.checked else "",
@@ -110,7 +112,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _write_csv([_csv_row(report)])
     else:
         _print_json(report.to_dict())
-    if not report.ratio_ok or (report.lemmas.checked and report.lemmas.failed):
+    if report.ratio_ok is False or (report.lemmas.checked and report.lemmas.failed):
         return EXIT_CHECK_FAILED
     if report.status == "budget_exceeded":
         return EXIT_BUDGET
@@ -381,7 +383,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a late broken pipe is caught here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (``| head``); silence the flush at exit too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (EdgeListError, Graph6Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

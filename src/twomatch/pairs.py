@@ -10,7 +10,14 @@ maximum matching first with the larger side and then with the smaller.
 side one, side two}: feasibility pruning keeps each side a matching, the
 optimistic bound is the assigned total plus the count of unassigned
 edges, and a swap-symmetry cut pins the first colored edge to side one.
-A second pass fixes the total and maximizes the larger side.  The search
+A second pass fixes the total and maximizes the larger side.  Two
+incumbents seed it: a greedy pair, and a maximum matching M paired with
+a maximum matching of the graph without M's edges.  Three caps bound it:
+nu = |M| caps the larger side; 2 * nu and half the sum of min(2, deg v)
+cap the total, and so does the size of a maximum simple 2-matching
+(Tutte's gadget, reduced to ``max_matching``), since the union of a pair
+is a 2-matching.  A pass whose incumbent meets its cap is certified
+without search, and a pass that reaches its cap stops there.  The search
 is exact; an instance that exhausts the node budget is reported as such,
 never silently mis-answered.
 
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import Edge, Graph
-from .matching import _matchings, max_matching_bruteforce, maximum_matchings
+from .matching import _matchings, max_matching, max_matching_bruteforce, maximum_matchings
 
 __all__ = [
     "PairResult",
@@ -82,23 +89,57 @@ class CanonicalTriple:
     m: frozenset[Edge]
 
 
-def _assignment_order(g: Graph) -> list[Edge]:
-    """Fail-first edge order: descending endpoint degree sum, then lex."""
+def _max_2_matching(g: Graph, deg: list[int]) -> int:
+    """Size of a maximum simple 2-matching of ``g``: a largest edge set in
+    which every vertex has degree at most 2.
+
+    Tutte's gadget reduces it to ``max_matching``: min(2, deg v) copies of
+    each vertex v, and for each edge (u, v) two new vertices a, b joined
+    to each other, a to every copy of u and b to every copy of v.  A
+    maximum matching of the gadget covers each a, b pair by the edge a-b
+    or by two copy edges (the edge is taken), so its size is |E| plus the
+    size of the 2-matching.
+    """
+    first = []
+    n = 0
+    for v in range(g.n):
+        first.append(n)
+        n += min(2, deg[v])
+    gadget = []
+    for u, v in g.edges:
+        a, b = n, n + 1
+        n += 2
+        gadget.append((a, b))
+        gadget += [(c, a) for c in range(first[u], first[u] + min(2, deg[u]))]
+        gadget += [(c, b) for c in range(first[v], first[v] + min(2, deg[v]))]
+    return len(max_matching(Graph(n, frozenset(gadget)))) - g.m
+
+
+def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
+    """Exact best pair total and largest side among best-total pairs.
+
+    Two incumbents seed the search: the greedy pair (a maximal side, then
+    a maximal side on the leftover edges) and a maximum matching M with a
+    maximum matching of the graph without M's edges; the better by
+    (total, larger side) is kept.  Three caps bound the answer: the larger
+    side is at most nu = |M|, and the total at most 2 * nu, at most half
+    the sum of min(2, deg v), and at most the maximum simple 2-matching
+    (computed only when the incumbent is below the first two).  An
+    incumbent meeting a pass's cap certifies that pass with no node
+    searched, and each pass returns as soon as its incumbent meets the
+    cap.
+    """
     deg = [0] * g.n
     for u, v in g.edges:
         deg[u] += 1
         deg[v] += 1
-    return sorted(g.edges, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
-
-
-def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
-    """Exact best pair total and largest side among best-total pairs."""
-    edges = _assignment_order(g)
+    # Fail-first edge order: descending endpoint degree sum, then lex.
+    edges = sorted(g.edges, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
     count = len(edges)
     masks = [(1 << u) | (1 << v) for u, v in edges]
 
     nodes = 0
-    exhausted = False
+    stop = False  # set when the budget runs out or the incumbent meets its cap
 
     # Greedy incumbent: one maximal side, then a maximal second side on
     # the leftover edges.  Seeds the bound; never affects exactness.
@@ -123,21 +164,31 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
         frozenset(edges[k] for k in side2),
     )
 
-    # Each side is a matching, so no pair can beat these caps; an incumbent
-    # meeting one certifies that phase without any search.
-    total_cap = min(2 * (g.n // 2), count)
-    side_cap = g.n // 2
+    # Matching incumbent: M, then a maximum matching of the rest.
+    m = max_matching(g)
+    rest = max_matching(Graph(g.n, g.edges - m))
+    nu = len(m)
+    if (nu + len(rest), nu) > (best_total, max(len(side1), len(side2))):
+        best_total = nu + len(rest)
+        best_pair = (m, rest)
+
+    # Each side is a matching and every vertex meets at most two pair
+    # edges; the 2-matching bound costs a blossom run, so it is only
+    # computed when the cheap caps leave a gap.
+    total_cap = min(2 * nu, sum(min(2, d) for d in deg) // 2)
+    if best_total < total_cap:
+        total_cap = min(total_cap, _max_2_matching(g, deg))
 
     sel1: list[int] = []
     sel2: list[int] = []
 
     def dfs_total(i: int, occ1: int, occ2: int) -> None:
-        nonlocal nodes, exhausted, best_total, best_pair
-        if exhausted:
+        nonlocal nodes, stop, best_total, best_pair
+        if stop:
             return
         nodes += 1
         if nodes > node_budget:
-            exhausted = True
+            stop = True
             return
         total = len(sel1) + len(sel2)
         if total + (count - i) <= best_total:
@@ -148,6 +199,7 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
                 frozenset(edges[k] for k in sel1),
                 frozenset(edges[k] for k in sel2),
             )
+            stop = best_total >= total_cap
             return
         mask = masks[i]
         if not occ1 & mask:
@@ -167,14 +219,15 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
     # Second pass: total fixed at the optimum, maximize the larger side.
     best_side = max(len(best_pair[0]), len(best_pair[1]))
     best_sides = best_pair
+    side_cap = min(nu, lam)
 
     def dfs_side(i: int, occ1: int, occ2: int) -> None:
-        nonlocal nodes, exhausted, best_side, best_sides
-        if exhausted:
+        nonlocal nodes, stop, best_side, best_sides
+        if stop:
             return
         nodes += 1
         if nodes > node_budget:
-            exhausted = True
+            stop = True
             return
         c1, c2 = len(sel1), len(sel2)
         rem = count - i
@@ -188,6 +241,7 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
                 frozenset(edges[k] for k in sel1),
                 frozenset(edges[k] for k in sel2),
             )
+            stop = best_side >= side_cap
             return
         mask = masks[i]
         if not occ1 & mask:
@@ -200,13 +254,14 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
             sel2.pop()
         dfs_side(i + 1, occ1, occ2)
 
-    if not exhausted and best_side < min(side_cap, lam):
+    if nodes <= node_budget and best_side < side_cap:
+        stop = False
         dfs_side(0, 0, 0)
 
     h, hp = best_sides
     if len(hp) > len(h):
         h, hp = hp, h
-    status = "budget_exceeded" if exhausted else "optimal"
+    status = "budget_exceeded" if nodes > node_budget else "optimal"
     return PairResult(len(h) + len(hp), len(h), h, hp, status, nodes)
 
 

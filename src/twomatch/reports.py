@@ -1,10 +1,11 @@
 """Graph analysis reports and census sweeps.
 
 One graph in, one report out: maximum matching size, exact pair optima,
-the ratio check (as an integer cross-product, never floating point), and
-the lemma suite when the instance is within the triple-search ceiling.
-A census maps this over a corpus, aggregates exact maxima and histograms,
-and collects failures; graphs are independent, so sweeps parallelize
+the ratio check (as an integer cross-product, never floating point, and
+only on certified optima), and the lemma suite when the instance is
+within the triple-search ceiling.  A census maps this over a corpus,
+aggregates exact maxima and histograms over the certified rows, and
+collects failures; graphs are independent, so sweeps parallelize
 over a worker pool with input order preserved in the output.
 """
 
@@ -38,7 +39,7 @@ __all__ = [
     "run_census",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,8 @@ class LemmaSummary:
 @dataclass(frozen=True)
 class GraphReport:
     """Solver results for one graph; ``ratio_ok`` is the exact integer
-    comparison 4*nu <= 5*alpha2."""
+    comparison 4*nu <= 5*alpha2, and ``ratio`` and ``ratio_ok`` are
+    ``None`` unless the pair optima are certified (status ``ok``)."""
 
     source: str
     n: int
@@ -76,7 +78,7 @@ class GraphReport:
     lambda2: int
     alpha2: int
     ratio: str | None
-    ratio_ok: bool
+    ratio_ok: bool | None
     status: str
     solver_nodes: int
     lemmas: LemmaSummary
@@ -142,7 +144,9 @@ def analyze_graph(
     pair = solve_pair(g, node_budget)
     timings["pair_solver"] = perf_counter() - t0
 
-    ratio_ok = 4 * nu <= 5 * pair.alpha2
+    # An uncertified alpha2 bounds nothing, so it gets no ratio verdict.
+    certified = pair.status == "optimal"
+    ratio_ok = 4 * nu <= 5 * pair.alpha2 if certified else None
     witness = None
     if with_witness:
         witness = {"h": _edge_lists(pair.h), "h_prime": _edge_lists(pair.h_prime)}
@@ -150,7 +154,7 @@ def analyze_graph(
     t0 = perf_counter()
     if not lemmas:
         summary = LemmaSummary(checked=False, skipped_reason="disabled")
-    elif pair.status != "optimal":
+    elif not certified:
         summary = LemmaSummary(checked=False, skipped_reason="budget exceeded")
     elif g.m > PAIR_ORACLE_MAX_EDGES:
         summary = LemmaSummary(
@@ -180,9 +184,9 @@ def analyze_graph(
         nu=nu,
         lambda2=pair.lambda2,
         alpha2=pair.alpha2,
-        ratio=_ratio_str(nu, pair.alpha2),
+        ratio=_ratio_str(nu, pair.alpha2) if certified else None,
         ratio_ok=ratio_ok,
-        status="ok" if pair.status == "optimal" else pair.status,
+        status="ok" if certified else pair.status,
         solver_nodes=pair.nodes,
         lemmas=summary,
         timings=timings if with_timings else None,
@@ -198,7 +202,9 @@ def verify_graph(g: Graph) -> list[tuple[CanonicalTriple, LemmaReport]]:
 @dataclass(frozen=True)
 class CensusSummary:
     """Aggregate of a census sweep; ``max_ratio`` is an exact reduced
-    fraction and ``failures`` must stay empty for the bound to stand."""
+    fraction and ``failures`` must stay empty for the bound to stand.
+    ``max_ratio`` and ``gap_histogram`` cover certified rows only; the
+    others are counted in ``budget_exceeded`` alone."""
 
     corpus: str
     count: int
@@ -241,7 +247,7 @@ def _census_worker(item: tuple[str, Graph, int, bool]) -> GraphReport:
 
 def _report_failures(r: GraphReport) -> list[dict]:
     out = []
-    if not r.ratio_ok:
+    if r.ratio_ok is False:
         out.append(
             {
                 "source": r.source,
@@ -294,15 +300,16 @@ def run_census(
     budget = 0
     lemma_checked = 0
     for r in reports:
+        failures.extend(_report_failures(r))
+        if r.status == "budget_exceeded":
+            budget += 1
+            continue
         if r.alpha2 > 0:
             f = Fraction(r.nu, r.alpha2)
             if f > max_ratio:
                 max_ratio = f
                 max_source = r.source
         histogram[r.gap] = histogram.get(r.gap, 0) + 1
-        failures.extend(_report_failures(r))
-        if r.status == "budget_exceeded":
-            budget += 1
         if r.lemmas.checked:
             lemma_checked += 1
 

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,14 @@ def run_cli(capsys, *argv):
 
 
 @pytest.fixture()
+def tight_k2_cycle_file(tmp_path):
+    """Tight family on C4 (20 edges): pass 2 needs a search at any budget."""
+    path = tmp_path / "tight_c4.txt"
+    path.write_text(to_edge_list(gen_tight_family(gen_cycle(4))))
+    return str(path)
+
+
+@pytest.fixture()
 def tight_k2_file(tmp_path):
     path = tmp_path / "tight_k2.txt"
     path.write_text(to_edge_list(gen_tight_family(gen_complete(2))))
@@ -34,7 +46,7 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", tight_k2_file, "--no-timings")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert (doc["nu"], doc["lambda2"], doc["alpha2"]) == (5, 8, 4)
         assert doc["ratio"] == "5/4"
         assert doc["ratio_ok"] is True
@@ -89,6 +101,35 @@ class TestSolve:
         )
         assert code == 3
         assert json.loads(out)["status"] == "budget_exceeded"
+
+    def test_budget_exceeded_has_no_ratio_verdict(self, capsys, tight_k2_cycle_file):
+        code, out, _ = run_cli(
+            capsys,
+            "solve",
+            tight_k2_cycle_file,
+            "--node-budget",
+            "5",
+            "--skip-lemmas",
+            "--no-timings",
+        )
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["status"] == "budget_exceeded"
+        assert doc["ratio"] is None
+        assert doc["ratio_ok"] is None
+        code, out, _ = run_cli(
+            capsys,
+            "solve",
+            tight_k2_cycle_file,
+            "--node-budget",
+            "5",
+            "--output",
+            "csv",
+            "--no-timings",
+        )
+        assert code == 3
+        row = out.strip().splitlines()[1].split(",")
+        assert row[6:9] == ["", "", "budget_exceeded"]  # ratio, ratio_ok, status
 
     def test_csv_output(self, capsys, tight_k2_file):
         code, out, _ = run_cli(
@@ -174,6 +215,42 @@ class TestCensus:
         doc = json.loads(out)
         assert doc["max_ratio"] == "5/4"
         assert doc["failures"] == []
+
+    def test_budget_exceeded_rows_left_out_of_aggregates(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "census",
+            "--family",
+            "tight",
+            "--k-range",
+            "2:2",
+            "--node-budget",
+            "5",
+            "--no-timings",
+        )
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["gap_histogram"] == {}
+        assert doc["budget_exceeded"] == 1
+        assert doc["failures"] == []
+
+    def test_broken_pipe_exits_141_quietly(self):
+        # Far more than a pipe buffer of CSV: the write after the reader
+        # closes fails every time.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["census", "--random", "7", "0.5", "3000", "--skip-lemmas", "--output", "csv"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "twomatch", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline().startswith(b"source,")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == b""
 
     def test_random_corpus(self, capsys):
         code, out, _ = run_cli(

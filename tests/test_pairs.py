@@ -23,6 +23,8 @@ from twomatch import (
     solve_pair_bruteforce,
 )
 
+from twomatch.pairs import _max_2_matching
+
 from conftest import all_matchings_by_filtering, graphs
 
 
@@ -46,6 +48,29 @@ def pair_optima_by_filtering(g: Graph) -> tuple[int, int, set]:
         if not h & hp and len(h) + len(hp) == lam and len(h) == alpha
     }
     return lam, alpha, members
+
+
+def max_2_matching_by_filtering(g: Graph) -> int:
+    """Largest edge subset with every degree at most 2, by trying them all."""
+    edges = sorted(g.edges)
+    best = 0
+    for mask in range(1 << len(edges)):
+        size = bin(mask).count("1")
+        if size <= best:
+            continue
+        deg = [0] * g.n
+        for k, (u, v) in enumerate(edges):
+            if mask >> k & 1:
+                deg[u] += 1
+                deg[v] += 1
+        if max(deg) <= 2:
+            best = size
+    return best
+
+
+def graphs_up_to(n: int):
+    for k in range(n + 1):
+        yield from enumerate_graphs(k)
 
 
 class TestBruteforce:
@@ -102,17 +127,42 @@ class TestSolvePair:
         assert solve_pair(g) == solve_pair(g)
 
     def test_budget_exceeded_is_reported(self):
-        r = solve_pair(gen_complete(6), node_budget=10)
+        # Tight family on C4: lambda2 = 16 meets the total caps only after
+        # a search, and alpha2 = 8 never meets nu = 10.
+        r = solve_pair(gen_tight_family(gen_cycle(4)), node_budget=10)
         assert r.status == "budget_exceeded"
         assert r.nodes > 10
         # best-known values are still a valid (uncertified) pair
         assert len(r.h) + len(r.h_prime) == r.lambda2
 
-    def test_oracle_equivalence_exhaustive_n4(self):
-        for g in enumerate_graphs(4):
+    def test_oracle_equivalence_exhaustive_n5(self):
+        for g in graphs_up_to(5):
             rb = solve_pair_bruteforce(g)
             rs = solve_pair(g)
             assert (rs.lambda2, rs.alpha2) == (rb.lambda2, rb.alpha2)
+
+    def test_gap_family_certified_at_the_root(self):
+        # 1,200 edges: deeper than the recursion limit, if it searched.
+        r = solve_pair(gen_gap_family(600))
+        assert (r.lambda2, r.alpha2, r.status, r.nodes) == (601, 600, "optimal", 0)
+
+    def test_searched_pair_reaches_the_nu_cap(self):
+        # Pass 1 ends here with a larger side below nu = alpha2 = 6, so
+        # pass 2 must search on up to the nu cap, not stop below it.
+        for seed in (161, 337):
+            g = gen_random(14, 0.2, seed)
+            r = solve_pair(g)
+            rb = solve_pair_bruteforce(g)
+            assert r.nodes > 0
+            assert (r.lambda2, r.alpha2) == (rb.lambda2, rb.alpha2)
+            assert r.alpha2 == len(max_matching(g))
+
+    def test_2_matching_bound_exhaustive_n5(self):
+        for g in graphs_up_to(5):
+            deg = [g.degree(v) for v in range(g.n)]
+            bound = _max_2_matching(g, deg)
+            assert bound == max_2_matching_by_filtering(g)
+            assert bound >= solve_pair_bruteforce(g).lambda2
 
     def test_independent_filter_oracle_n4(self):
         for g in enumerate_graphs(4):
