@@ -8,18 +8,23 @@ maximum matching first with the larger side and then with the smaller.
 
 ``solve_pair`` is branch and bound over per-edge assignments {unused,
 side one, side two}: feasibility pruning keeps each side a matching, the
-optimistic bound is the assigned total plus the count of unassigned
-edges, and a swap-symmetry cut pins the first colored edge to side one.
-A second pass fixes the total and maximizes the larger side.  Two
-incumbents seed it: a greedy pair, and a maximum matching M paired with
-a maximum matching of the graph without M's edges.  Three caps bound it:
+optimistic bound is the assigned total plus half the free vertex slots
+(each vertex can take min(2 - its assigned pair edges, its unassigned
+edges) more), and a swap-symmetry cut pins the first colored edge to
+side one.  A second pass fixes the total and maximizes the larger side;
+a side can grow by at most half the vertices outside it that still have
+an unassigned edge.  Both bounds update in O(1) per node.  Two
+incumbents seed it: a maximum matching M paired with a maximum matching
+of the graph without M's edges, and, when the cheap caps leave a gap, a
+maximum simple 2-matching (Tutte's gadget, reduced to ``max_matching``)
+colored alternately along its paths and cycles.  Three caps bound it:
 nu = |M| caps the larger side; 2 * nu and half the sum of min(2, deg v)
-cap the total, and so does the size of a maximum simple 2-matching
-(Tutte's gadget, reduced to ``max_matching``), since the union of a pair
-is a 2-matching.  A pass whose incumbent meets its cap is certified
-without search, and a pass that reaches its cap stops there.  The search
-is exact; an instance that exhausts the node budget is reported as such,
-never silently mis-answered.
+cap the total, and so does the size of that 2-matching, since the union
+of a pair is a 2-matching.  So the total is certified without search
+whenever the 2-matching found has no odd cycle.  A pass whose incumbent meets its
+cap is certified without search, and a pass that reaches its cap stops
+there.  The search is exact; an instance that exhausts the node budget
+is reported as such, never silently mis-answered.
 
 ``solve_pair_bruteforce`` is the independent oracle: it enumerates every
 matching H outright and pairs it with an exhaustively computed maximum
@@ -89,45 +94,107 @@ class CanonicalTriple:
     m: frozenset[Edge]
 
 
-def _max_2_matching(g: Graph, deg: list[int]) -> int:
-    """Size of a maximum simple 2-matching of ``g``: a largest edge set in
-    which every vertex has degree at most 2.
+def _max_2_matching(g: Graph, deg: list[int]) -> frozenset[Edge]:
+    """A maximum simple 2-matching of ``g``: a largest edge set in which
+    every vertex has degree at most 2.
 
     Tutte's gadget reduces it to ``max_matching``: min(2, deg v) copies of
     each vertex v, and for each edge (u, v) two new vertices a, b joined
     to each other, a to every copy of u and b to every copy of v.  A
-    maximum matching of the gadget covers each a, b pair by the edge a-b
-    or by two copy edges (the edge is taken), so its size is |E| plus the
-    size of the 2-matching.
+    maximum matching of the gadget covers each pair a, b by the edge a-b,
+    by one copy edge or by two, never by none.  So its size is |E| plus
+    the number of pairs with two copy edges, and their edges form the
+    2-matching.
     """
     first = []
     n = 0
     for v in range(g.n):
         first.append(n)
         n += min(2, deg[v])
+    copies = n
+    order = sorted(g.edges)
+    pairs = []
     gadget = []
-    for u, v in g.edges:
+    for u, v in order:
         a, b = n, n + 1
         n += 2
+        pairs.append((a, b))
         gadget.append((a, b))
         gadget += [(c, a) for c in range(first[u], first[u] + min(2, deg[u]))]
         gadget += [(c, b) for c in range(first[v], first[v] + min(2, deg[v]))]
-    return len(max_matching(Graph(n, frozenset(gadget)))) - g.m
+    held = {y for x, y in max_matching(Graph(n, frozenset(gadget))) if x < copies}
+    return frozenset(e for e, (a, b) in zip(order, pairs) if a in held and b in held)
+
+
+def _pair_from_2_matching(two: frozenset[Edge]) -> tuple[frozenset[Edge], frozenset[Edge]]:
+    """Split a 2-matching (disjoint paths and cycles) into two disjoint
+    matchings by coloring each path and cycle alternately; an odd cycle
+    loses one edge.  Side one gets the extra edge of each odd path, so it
+    is the larger side."""
+    adj: dict[int, list[int]] = {}
+    for u, v in sorted(two):
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen = set()
+    side1: list[Edge] = []
+    side2: list[Edge] = []
+    # Path ends first, so that every path is walked from one end.
+    for start in sorted(adj, key=lambda v: (len(adj[v]) != 1, v)):
+        if start in seen:
+            continue
+        seen.add(start)
+        trail = []
+        prev, v = -1, start
+        while True:
+            w = next((w for w in adj[v] if w != prev), None)
+            if w is None:  # the far end of a path
+                break
+            trail.append((v, w) if v < w else (w, v))
+            if w == start:  # back round a cycle
+                if len(trail) % 2:
+                    trail.pop()
+                break
+            seen.add(w)
+            prev, v = v, w
+        side1 += trail[0::2]
+        side2 += trail[1::2]
+    return frozenset(side1), frozenset(side2)
+
+
+def _remaining_degree_masks(edges: list[Edge], deg: list[int]) -> tuple[list[int], list[int]]:
+    """For each edge i of ``edges``, the endpoint bits whose remaining
+    degree (edges i, i+1, ... that touch the endpoint) is exactly 1, and
+    those where it is exactly 2.  They keep the node bounds of
+    ``solve_pair`` current in O(1) per node."""
+    left = deg[:]
+    last1 = []
+    last2 = []
+    for u, v in edges:
+        last1.append((1 << u if left[u] == 1 else 0) | (1 << v if left[v] == 1 else 0))
+        last2.append((1 << u if left[u] == 2 else 0) | (1 << v if left[v] == 2 else 0))
+        left[u] -= 1
+        left[v] -= 1
+    return last1, last2
 
 
 def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
     """Exact best pair total and largest side among best-total pairs.
 
-    Two incumbents seed the search: the greedy pair (a maximal side, then
-    a maximal side on the leftover edges) and a maximum matching M with a
-    maximum matching of the graph without M's edges; the better by
-    (total, larger side) is kept.  Three caps bound the answer: the larger
+    Two incumbents seed the search: a maximum matching M with a maximum
+    matching of the graph without M's edges, and a maximum simple
+    2-matching split into two matchings; the better by (total, larger
+    side) is kept.  Three caps bound the answer: the larger
     side is at most nu = |M|, and the total at most 2 * nu, at most half
     the sum of min(2, deg v), and at most the maximum simple 2-matching
-    (computed only when the incumbent is below the first two).  An
+    (computed, with its incumbent, only when the incumbent is below the
+    first two).  An
     incumbent meeting a pass's cap certifies that pass with no node
     searched, and each pass returns as soon as its incumbent meets the
-    cap.
+    cap.  Inside the search, the free vertex slots bound the total and
+    the free vertices of each side bound the larger side (see the module
+    docstring); they cut only subtrees that cannot improve the incumbent,
+    so the pair returned is the one the search without them returns
+    given budget enough.
     """
     deg = [0] * g.n
     for u, v in g.edges:
@@ -141,48 +208,41 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
     nodes = 0
     stop = False  # set when the budget runs out or the incumbent meets its cap
 
-    # Greedy incumbent: one maximal side, then a maximal second side on
-    # the leftover edges.  Seeds the bound; never affects exactness.
-    taken = [False] * count
-    used1 = 0
-    side1 = []
-    for k in range(count):
-        if not used1 & masks[k]:
-            used1 |= masks[k]
-            side1.append(k)
-            taken[k] = True
-    used2 = 0
-    side2 = []
-    for k in range(count):
-        if not taken[k] and not used2 & masks[k]:
-            used2 |= masks[k]
-            side2.append(k)
-
-    best_total = len(side1) + len(side2)
-    best_pair = (
-        frozenset(edges[k] for k in side1),
-        frozenset(edges[k] for k in side2),
-    )
-
     # Matching incumbent: M, then a maximum matching of the rest.
     m = max_matching(g)
     rest = max_matching(Graph(g.n, g.edges - m))
     nu = len(m)
-    if (nu + len(rest), nu) > (best_total, max(len(side1), len(side2))):
-        best_total = nu + len(rest)
-        best_pair = (m, rest)
+    best_total = nu + len(rest)
+    best_pair = (m, rest)
 
     # Each side is a matching and every vertex meets at most two pair
     # edges; the 2-matching bound costs a blossom run, so it is only
-    # computed when the cheap caps leave a gap.
-    total_cap = min(2 * nu, sum(min(2, d) for d in deg) // 2)
+    # computed when the cheap caps leave a gap.  The 2-matching, colored
+    # alternately, is the second incumbent; it meets the cap unless it
+    # has an odd cycle.
+    slots = sum(min(2, d) for d in deg)
+    total_cap = min(2 * nu, slots // 2)
     if best_total < total_cap:
-        total_cap = min(total_cap, _max_2_matching(g, deg))
+        two = _max_2_matching(g, deg)
+        total_cap = min(total_cap, len(two))
+        h2, hp2 = _pair_from_2_matching(two)
+        if (len(h2) + len(hp2), len(h2)) > (best_total, nu):
+            best_total = len(h2) + len(hp2)
+            best_pair = (h2, hp2)
+
+    # The node bounds' tables are built only when some pass will search.
+    if best_total < total_cap or max(len(best_pair[0]), len(best_pair[1])) < min(nu, best_total):
+        last1, last2 = _remaining_degree_masks(edges, deg)
 
     sel1: list[int] = []
     sel2: list[int] = []
 
-    def dfs_total(i: int, occ1: int, occ2: int) -> None:
+    # Node bound: each vertex can still take min(2 - its assigned pair
+    # edges, its remaining degree) pair edges, and each edge uses two such
+    # slots; ``slack`` is that slot sum.  Assigning edge i uses two slots;
+    # skipping it uses an endpoint's slot only where its remaining degree
+    # was the smaller side of the min: 1 with a free side, or 2 with both.
+    def dfs_total(i: int, occ1: int, occ2: int, slack: int) -> None:
         nonlocal nodes, stop, best_total, best_pair
         if stop:
             return
@@ -191,7 +251,7 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
             stop = True
             return
         total = len(sel1) + len(sel2)
-        if total + (count - i) <= best_total:
+        if total + (slack >> 1) <= best_total:
             return
         if i == count:
             best_total = total
@@ -204,16 +264,17 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
         mask = masks[i]
         if not occ1 & mask:
             sel1.append(i)
-            dfs_total(i + 1, occ1 | mask, occ2)
+            dfs_total(i + 1, occ1 | mask, occ2, slack - 2)
             sel1.pop()
         if sel1 and not occ2 & mask:  # swap symmetry: side two opens after side one
             sel2.append(i)
-            dfs_total(i + 1, occ1, occ2 | mask)
+            dfs_total(i + 1, occ1, occ2 | mask, slack - 2)
             sel2.pop()
-        dfs_total(i + 1, occ1, occ2)
+        lost = (last1[i] & ~(occ1 & occ2)).bit_count() + (last2[i] & ~(occ1 | occ2)).bit_count()
+        dfs_total(i + 1, occ1, occ2, slack - lost)
 
     if best_total < total_cap:
-        dfs_total(0, 0, 0)
+        dfs_total(0, 0, 0, slots)
     lam = best_total
 
     # Second pass: total fixed at the optimum, maximize the larger side.
@@ -221,7 +282,10 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
     best_sides = best_pair
     side_cap = min(nu, lam)
 
-    def dfs_side(i: int, occ1: int, occ2: int) -> None:
+    # Side bound: side one can still take at most half of ``free1``, the
+    # vertices outside it with an edge left; likewise side two.  A vertex
+    # leaves free1 when it joins side one or its last edge passes.
+    def dfs_side(i: int, occ1: int, occ2: int, slack: int, free1: int, free2: int) -> None:
         nonlocal nodes, stop, best_side, best_sides
         if stop:
             return
@@ -230,10 +294,9 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
             stop = True
             return
         c1, c2 = len(sel1), len(sel2)
-        rem = count - i
-        if c1 + c2 + rem < lam:
+        if c1 + c2 + (slack >> 1) < lam:
             return
-        if max(c1, c2) + rem <= best_side:
+        if c1 + (free1 >> 1) <= best_side and c2 + (free2 >> 1) <= best_side:
             return
         if i == count:
             best_side = max(c1, c2)
@@ -244,19 +307,23 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
             stop = best_side >= side_cap
             return
         mask = masks[i]
+        gone1 = (last1[i] & ~occ1).bit_count()
+        gone2 = (last1[i] & ~occ2).bit_count()
         if not occ1 & mask:
             sel1.append(i)
-            dfs_side(i + 1, occ1 | mask, occ2)
+            dfs_side(i + 1, occ1 | mask, occ2, slack - 2, free1 - 2, free2 - gone2)
             sel1.pop()
         if sel1 and not occ2 & mask:
             sel2.append(i)
-            dfs_side(i + 1, occ1, occ2 | mask)
+            dfs_side(i + 1, occ1, occ2 | mask, slack - 2, free1 - gone1, free2 - 2)
             sel2.pop()
-        dfs_side(i + 1, occ1, occ2)
+        lost = (last1[i] & ~(occ1 & occ2)).bit_count() + (last2[i] & ~(occ1 | occ2)).bit_count()
+        dfs_side(i + 1, occ1, occ2, slack - lost, free1 - gone1, free2 - gone2)
 
     if nodes <= node_budget and best_side < side_cap:
         stop = False
-        dfs_side(0, 0, 0)
+        live = sum(1 for d in deg if d)
+        dfs_side(0, 0, 0, slots, live, live)
 
     h, hp = best_sides
     if len(hp) > len(h):

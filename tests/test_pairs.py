@@ -23,7 +23,7 @@ from twomatch import (
     solve_pair_bruteforce,
 )
 
-from twomatch.pairs import _max_2_matching
+from twomatch.pairs import _max_2_matching, _pair_from_2_matching
 
 from conftest import all_matchings_by_filtering, graphs
 
@@ -66,6 +66,25 @@ def max_2_matching_by_filtering(g: Graph) -> int:
         if max(deg) <= 2:
             best = size
     return best
+
+
+def odd_cycles(n: int, two: frozenset) -> int:
+    """Components of a 2-matching that are cycles of odd length."""
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in two:
+        parent[find(u)] = find(v)
+    sizes: dict[int, list[int]] = {}
+    for v in range(n):
+        sizes.setdefault(find(v), [0, 0])[0] += 1
+    for u, _ in two:
+        sizes[find(u)][1] += 1
+    return sum(1 for verts, edges in sizes.values() if verts == edges and verts % 2)
 
 
 def graphs_up_to(n: int):
@@ -127,8 +146,8 @@ class TestSolvePair:
         assert solve_pair(g) == solve_pair(g)
 
     def test_budget_exceeded_is_reported(self):
-        # Tight family on C4: lambda2 = 16 meets the total caps only after
-        # a search, and alpha2 = 8 never meets nu = 10.
+        # Tight family on C4: alpha2 = 8 never meets nu = 10, so the
+        # second pass searches until the budget runs out.
         r = solve_pair(gen_tight_family(gen_cycle(4)), node_budget=10)
         assert r.status == "budget_exceeded"
         assert r.nodes > 10
@@ -146,23 +165,54 @@ class TestSolvePair:
         r = solve_pair(gen_gap_family(600))
         assert (r.lambda2, r.alpha2, r.status, r.nodes) == (601, 600, "optimal", 0)
 
+    def test_tight_family_total_met_at_the_root(self):
+        # tight k=100, 1,000 edges: the colored 2-matching meets
+        # lambda2 = 8k before any search; alpha2 = 4k < nu = 5k leaves the
+        # second pass to the budget.
+        r = solve_pair(gen_tight_family(gen_cycle(200)), node_budget=1)
+        assert (r.lambda2, r.status) == (800, "budget_exceeded")
+
     def test_searched_pair_reaches_the_nu_cap(self):
         # Pass 1 ends here with a larger side below nu = alpha2 = 6, so
         # pass 2 must search on up to the nu cap, not stop below it.
-        for seed in (161, 337):
-            g = gen_random(14, 0.2, seed)
+        for n, p, seed in ((14, 0.2, 337), (14, 0.15, 2064)):
+            g = gen_random(n, p, seed)
             r = solve_pair(g)
             rb = solve_pair_bruteforce(g)
             assert r.nodes > 0
             assert (r.lambda2, r.alpha2) == (rb.lambda2, rb.alpha2)
             assert r.alpha2 == len(max_matching(g))
 
+    def test_node_bounds_keep_the_optimum(self):
+        # Inputs on which a node bound that counts one vertex slot, or one
+        # vertex free to a side, too few cuts off every optimal pair.
+        for n, edges in (
+            (10, [(0, 2), (0, 9), (1, 6), (2, 3), (2, 8), (2, 9), (3, 7), (3, 8), (4, 5), (5, 8), (6, 8)]),
+            (14, [(0, 3), (1, 3), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (2, 8), (2, 9), (3, 9), (5, 7), (6, 12), (8, 9)]),
+        ):
+            g = Graph(n, frozenset(edges))
+            r = solve_pair(g)
+            rb = solve_pair_bruteforce(g)
+            assert (r.lambda2, r.alpha2) == (rb.lambda2, rb.alpha2)
+
     def test_2_matching_bound_exhaustive_n5(self):
         for g in graphs_up_to(5):
             deg = [g.degree(v) for v in range(g.n)]
-            bound = _max_2_matching(g, deg)
-            assert bound == max_2_matching_by_filtering(g)
-            assert bound >= solve_pair_bruteforce(g).lambda2
+            two = _max_2_matching(g, deg)
+            assert two <= g.edges
+            assert all(sum(v in e for e in two) <= 2 for v in range(g.n))
+            assert len(two) == max_2_matching_by_filtering(g)
+            assert len(two) >= solve_pair_bruteforce(g).lambda2
+
+    def test_2_matching_colored_into_a_pair_exhaustive_n5(self):
+        for g in graphs_up_to(5):
+            two = _max_2_matching(g, [g.degree(v) for v in range(g.n)])
+            h, hp = _pair_from_2_matching(two)
+            assert is_matching(g, h) and is_matching(g, hp)
+            assert not h & hp and h | hp <= two
+            assert len(h) >= len(hp)
+            # Each odd cycle of the 2-matching loses exactly one edge.
+            assert len(h) + len(hp) == len(two) - odd_cycles(g.n, two)
 
     def test_independent_filter_oracle_n4(self):
         for g in enumerate_graphs(4):
