@@ -7,24 +7,29 @@ triple (pair plus maximum matching) that maximizes the overlap of the
 maximum matching first with the larger side and then with the smaller.
 
 ``solve_pair`` is branch and bound over per-edge assignments {unused,
-side one, side two}: feasibility pruning keeps each side a matching, the
-optimistic bound is the assigned total plus half the free vertex slots
+side one, side two}: feasibility pruning keeps each side a matching, and
+a swap-symmetry cut pins the first colored edge to side one.  One
+depth-first search, over an explicit stack so that its depth is bounded
+by memory and not by Python's recursion limit, looks for a pair with
+total at least a goal and larger side at least a second goal.  It runs
+twice: the first pass raises the total goal past each pair it finds, the
+second fixes the total at the optimum and raises the side goal.  The
+total is bounded by the assigned total plus half the free vertex slots
 (each vertex can take min(2 - its assigned pair edges, its unassigned
-edges) more), and a swap-symmetry cut pins the first colored edge to
-side one.  A second pass fixes the total and maximizes the larger side;
-a side can grow by at most half the vertices outside it that still have
-an unassigned edge.  Both bounds update in O(1) per node.  Two
-incumbents seed it: a maximum matching M paired with a maximum matching
-of the graph without M's edges, and, when the cheap caps leave a gap, a
-maximum simple 2-matching (Tutte's gadget, reduced to ``max_matching``)
-colored alternately along its paths and cycles.  Three caps bound it:
-nu = |M| caps the larger side; 2 * nu and half the sum of min(2, deg v)
-cap the total, and so does the size of that 2-matching, since the union
-of a pair is a 2-matching.  So the total is certified without search
-whenever the 2-matching found has no odd cycle.  A pass whose incumbent meets its
-cap is certified without search, and a pass that reaches its cap stops
-there.  The search is exact; an instance that exhausts the node budget
-is reported as such, never silently mis-answered.
+edges) more), and a side can grow by at most half the vertices outside
+it that still have an unassigned edge.  Both bounds update in O(1) per
+node.  Two incumbents seed it: a maximum matching M paired with a
+maximum matching of the graph without M's edges, and, when the cheap
+caps leave a gap, a maximum simple 2-matching (Tutte's gadget, reduced
+to ``max_matching``) colored alternately along its paths and cycles.
+Three caps bound it: nu = |M| caps the larger side; 2 * nu and half the
+sum of min(2, deg v) cap the total, and so does the size of that
+2-matching, since the union of a pair is a 2-matching.  So the total is
+certified without search whenever the 2-matching found has no odd cycle.
+A pass whose incumbent meets its cap is certified without search, and a
+pass whose goal passes its cap stops there.  The search is exact; an
+instance that exhausts the node budget is reported as such, never
+silently mis-answered.
 
 ``solve_pair_bruteforce`` is the independent oracle: it enumerates every
 matching H outright and pairs it with an exhaustively computed maximum
@@ -183,18 +188,24 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
     Two incumbents seed the search: a maximum matching M with a maximum
     matching of the graph without M's edges, and a maximum simple
     2-matching split into two matchings; the better by (total, larger
-    side) is kept.  Three caps bound the answer: the larger
-    side is at most nu = |M|, and the total at most 2 * nu, at most half
-    the sum of min(2, deg v), and at most the maximum simple 2-matching
-    (computed, with its incumbent, only when the incumbent is below the
-    first two).  An
-    incumbent meeting a pass's cap certifies that pass with no node
-    searched, and each pass returns as soon as its incumbent meets the
-    cap.  Inside the search, the free vertex slots bound the total and
-    the free vertices of each side bound the larger side (see the module
-    docstring); they cut only subtrees that cannot improve the incumbent,
-    so the pair returned is the one the search without them returns
-    given budget enough.
+    side) is kept.  Three caps bound the answer: the larger side is at
+    most nu = |M|, and the total at most 2 * nu, at most half the sum of
+    min(2, deg v), and at most the maximum simple 2-matching (computed,
+    with its incumbent, only when the incumbent is below the first two).
+    An incumbent meeting a pass's cap certifies that pass with no node
+    searched.
+
+    One depth-first search over an explicit stack serves both passes, so
+    its depth is bounded by memory, not by the edge count.  A call looks
+    for a pair with total at least ``need_total`` and larger side at
+    least ``need_side``; each leaf it reaches raises one goal just past
+    what it found, the total in the first pass and the side in the
+    second.  It returns when that goal passes its cap, when the budget
+    runs out, or when the stack empties.  The free vertex slots bound the
+    total and the free vertices of each side bound the larger side (see
+    the module docstring); they cut only subtrees that cannot meet the
+    goals, so the pair returned is the one the search without them
+    returns given budget enough.
     """
     deg = [0] * g.n
     for u, v in g.edges:
@@ -204,9 +215,6 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
     edges = sorted(g.edges, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
     count = len(edges)
     masks = [(1 << u) | (1 << v) for u, v in edges]
-
-    nodes = 0
-    stop = False  # set when the budget runs out or the incumbent meets its cap
 
     # Matching incumbent: M, then a maximum matching of the rest.
     m = max_matching(g)
@@ -230,102 +238,82 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
             best_total = len(h2) + len(hp2)
             best_pair = (h2, hp2)
 
-    # The node bounds' tables are built only when some pass will search.
-    if best_total < total_cap or max(len(best_pair[0]), len(best_pair[1])) < min(nu, best_total):
+    nodes = 0
+    color = [0] * count  # side (1 or 2) or 0 (unused) of each decided edge
+
+    def search(
+        need_total: int, need_side: int, side_goal: bool
+    ) -> tuple[frozenset[Edge], frozenset[Edge]] | None:
+        """The last pair found with total >= ``need_total`` and larger side
+        >= ``need_side``, or None; ``side_goal`` picks the goal each leaf
+        raises."""
+        nonlocal nodes
         last1, last2 = _remaining_degree_masks(edges, deg)
-
-    sel1: list[int] = []
-    sel2: list[int] = []
-
-    # Node bound: each vertex can still take min(2 - its assigned pair
-    # edges, its remaining degree) pair edges, and each edge uses two such
-    # slots; ``slack`` is that slot sum.  Assigning edge i uses two slots;
-    # skipping it uses an endpoint's slot only where its remaining degree
-    # was the smaller side of the min: 1 with a free side, or 2 with both.
-    def dfs_total(i: int, occ1: int, occ2: int, slack: int) -> None:
-        nonlocal nodes, stop, best_total, best_pair
-        if stop:
-            return
-        nodes += 1
-        if nodes > node_budget:
-            stop = True
-            return
-        total = len(sel1) + len(sel2)
-        if total + (slack >> 1) <= best_total:
-            return
-        if i == count:
-            best_total = total
-            best_pair = (
-                frozenset(edges[k] for k in sel1),
-                frozenset(edges[k] for k in sel2),
-            )
-            stop = best_total >= total_cap
-            return
-        mask = masks[i]
-        if not occ1 & mask:
-            sel1.append(i)
-            dfs_total(i + 1, occ1 | mask, occ2, slack - 2)
-            sel1.pop()
-        if sel1 and not occ2 & mask:  # swap symmetry: side two opens after side one
-            sel2.append(i)
-            dfs_total(i + 1, occ1, occ2 | mask, slack - 2)
-            sel2.pop()
-        lost = (last1[i] & ~(occ1 & occ2)).bit_count() + (last2[i] & ~(occ1 | occ2)).bit_count()
-        dfs_total(i + 1, occ1, occ2, slack - lost)
-
-    if best_total < total_cap:
-        dfs_total(0, 0, 0, slots)
-    lam = best_total
-
-    # Second pass: total fixed at the optimum, maximize the larger side.
-    best_side = max(len(best_pair[0]), len(best_pair[1]))
-    best_sides = best_pair
-    side_cap = min(nu, lam)
-
-    # Side bound: side one can still take at most half of ``free1``, the
-    # vertices outside it with an edge left; likewise side two.  A vertex
-    # leaves free1 when it joins side one or its last edge passes.
-    def dfs_side(i: int, occ1: int, occ2: int, slack: int, free1: int, free2: int) -> None:
-        nonlocal nodes, stop, best_side, best_sides
-        if stop:
-            return
-        nodes += 1
-        if nodes > node_budget:
-            stop = True
-            return
-        c1, c2 = len(sel1), len(sel2)
-        if c1 + c2 + (slack >> 1) < lam:
-            return
-        if c1 + (free1 >> 1) <= best_side and c2 + (free2 >> 1) <= best_side:
-            return
-        if i == count:
-            best_side = max(c1, c2)
-            best_sides = (
-                frozenset(edges[k] for k in sel1),
-                frozenset(edges[k] for k in sel2),
-            )
-            stop = best_side >= side_cap
-            return
-        mask = masks[i]
-        gone1 = (last1[i] & ~occ1).bit_count()
-        gone2 = (last1[i] & ~occ2).bit_count()
-        if not occ1 & mask:
-            sel1.append(i)
-            dfs_side(i + 1, occ1 | mask, occ2, slack - 2, free1 - 2, free2 - gone2)
-            sel1.pop()
-        if sel1 and not occ2 & mask:
-            sel2.append(i)
-            dfs_side(i + 1, occ1, occ2 | mask, slack - 2, free1 - gone1, free2 - 2)
-            sel2.pop()
-        lost = (last1[i] & ~(occ1 & occ2)).bit_count() + (last2[i] & ~(occ1 | occ2)).bit_count()
-        dfs_side(i + 1, occ1, occ2, slack - lost, free1 - gone1, free2 - gone2)
-
-    if nodes <= node_budget and best_side < side_cap:
-        stop = False
         live = sum(1 for d in deg if d)
-        dfs_side(0, 0, 0, slots, live, live)
+        found = None
+        # A node at depth i has decided edges 0..i-1; it carries the color
+        # of edge i-1, each side's vertex bits, the free vertex slots, the
+        # vertices still free to each side, and each side's size.
+        # Node bound: each vertex can still take min(2 - its assigned pair
+        # edges, its remaining degree) pair edges, and each edge uses two
+        # such slots; ``slack`` is that slot sum.  Assigning edge i uses
+        # two slots; skipping it uses an endpoint's slot only where its
+        # remaining degree was the smaller side of the min: 1 with a free
+        # side, or 2 with both.  Side bound: side one can still take at
+        # most half of ``free1``, the vertices outside it with an edge
+        # left; likewise side two.  A vertex leaves free1 when it joins
+        # side one or its last edge passes.
+        stack = [(0, 0, 0, 0, slots, live, live, 0, 0)]
+        while stack:
+            i, c, occ1, occ2, slack, free1, free2, c1, c2 = stack.pop()
+            nodes += 1
+            if nodes > node_budget:
+                break
+            if c1 + c2 + (slack >> 1) < need_total:
+                continue
+            if c1 + (free1 >> 1) < need_side and c2 + (free2 >> 1) < need_side:
+                continue
+            if i:
+                color[i - 1] = c
+            if i == count:
+                found = (
+                    frozenset(e for e, side in zip(edges, color) if side == 1),
+                    frozenset(e for e, side in zip(edges, color) if side == 2),
+                )
+                if side_goal:
+                    need_side = max(c1, c2) + 1
+                    if need_side > nu:
+                        break
+                else:
+                    need_total = c1 + c2 + 1
+                    if need_total > total_cap:
+                        break
+                continue
+            mask = masks[i]
+            if side_goal:
+                gone1 = (last1[i] & ~occ1).bit_count()
+                gone2 = (last1[i] & ~occ2).bit_count()
+            else:  # a side goal of 0 never cuts, so the free counts can go stale
+                gone1 = gone2 = 0
+            lost = (last1[i] & ~(occ1 & occ2)).bit_count() + (last2[i] & ~(occ1 | occ2)).bit_count()
+            # Children pushed in reverse, so side one is tried first, then
+            # side two, then leaving edge i unused.
+            stack.append((i + 1, 0, occ1, occ2, slack - lost, free1 - gone1, free2 - gone2, c1, c2))
+            if c1 and not occ2 & mask:  # swap symmetry: side two opens after side one
+                stack.append((i + 1, 2, occ1, occ2 | mask, slack - 2, free1 - gone1, free2 - 2, c1, c2 + 1))
+            if not occ1 & mask:
+                stack.append((i + 1, 1, occ1 | mask, occ2, slack - 2, free1 - 2, free2 - gone2, c1 + 1, c2))
+        return found
 
-    h, hp = best_sides
+    # First pass: raise the total.  Second pass: total fixed at the
+    # optimum, raise the larger side.
+    if best_total < total_cap:
+        best_pair = search(best_total + 1, 0, False) or best_pair
+    best_side = max(len(best_pair[0]), len(best_pair[1]))
+    if nodes <= node_budget and best_side < nu:
+        best_pair = search(len(best_pair[0]) + len(best_pair[1]), best_side + 1, True) or best_pair
+
+    h, hp = best_pair
     if len(hp) > len(h):
         h, hp = hp, h
     status = "budget_exceeded" if nodes > node_budget else "optimal"

@@ -39,7 +39,7 @@ __all__ = [
     "run_census",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,9 @@ class LemmaSummary:
 @dataclass(frozen=True)
 class GraphReport:
     """Solver results for one graph; ``ratio_ok`` is the exact integer
-    comparison 4*nu <= 5*alpha2, and ``ratio`` and ``ratio_ok`` are
-    ``None`` unless the pair optima are certified (status ``ok``)."""
+    comparison 4*nu <= 5*alpha2, and ``ratio``, ``ratio_ok`` and the
+    reported ``nu_minus_alpha2`` are ``None`` unless the pair optima are
+    certified (status ``ok``)."""
 
     source: str
     n: int
@@ -99,7 +100,7 @@ class GraphReport:
             "nu": self.nu,
             "lambda2": self.lambda2,
             "alpha2": self.alpha2,
-            "nu_minus_alpha2": self.gap,
+            "nu_minus_alpha2": self.gap if self.status == "ok" else None,
             "ratio": self.ratio,
             "ratio_ok": self.ratio_ok,
             "status": self.status,

@@ -46,7 +46,7 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", tight_k2_file, "--no-timings")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert (doc["nu"], doc["lambda2"], doc["alpha2"]) == (5, 8, 4)
         assert doc["ratio"] == "5/4"
         assert doc["ratio_ok"] is True
@@ -130,6 +130,24 @@ class TestSolve:
         assert code == 3
         row = out.strip().splitlines()[1].split(",")
         assert row[6:9] == ["", "", "budget_exceeded"]  # ratio, ratio_ok, status
+
+    def test_budget_exceeded_has_no_gap(self, capsys, tmp_path):
+        # Stopped after one node, the best pair found has alpha2 = 6 < nu = 7,
+        # but the certified alpha2 is 7: the gap is 0, not the 1 that pair
+        # would report.
+        path = tmp_path / "random16.txt"
+        path.write_text(to_edge_list(gen_random(16, 0.2, 180)))
+        code, out, _ = run_cli(
+            capsys, "solve", str(path), "--node-budget", "1", "--skip-lemmas", "--no-timings"
+        )
+        assert code == 3
+        doc = json.loads(out)
+        assert (doc["status"], doc["nu"], doc["alpha2"]) == ("budget_exceeded", 7, 6)
+        assert doc["nu_minus_alpha2"] is None
+        code, out, _ = run_cli(capsys, "solve", str(path), "--skip-lemmas", "--no-timings")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["status"], doc["alpha2"], doc["nu_minus_alpha2"]) == ("ok", 7, 0)
 
     def test_csv_output(self, capsys, tight_k2_file):
         code, out, _ = run_cli(

@@ -161,9 +161,32 @@ class TestSolvePair:
             assert (rs.lambda2, rs.alpha2) == (rb.lambda2, rb.alpha2)
 
     def test_gap_family_certified_at_the_root(self):
-        # 1,200 edges: deeper than the recursion limit, if it searched.
+        # 1,200 edges, certified by the caps before any search.
         r = solve_pair(gen_gap_family(600))
         assert (r.lambda2, r.alpha2, r.status, r.nodes) == (601, 600, "optimal", 0)
+
+    def test_deep_search_runs_on_an_explicit_stack(self):
+        # tight k=2 on C4 beside a 1,200-edge path: 1,220 edges, and the
+        # second pass searches all of them deep, far past Python's
+        # recursion limit.
+        tight = gen_tight_family(gen_cycle(4))
+        path = gen_path(1200)
+        shift = tight.n
+        g = Graph(shift + path.n, tight.edges | {(u + shift, v + shift) for u, v in path.edges})
+        r = solve_pair(g)
+        assert (r.lambda2, r.alpha2, r.status) == (1216, 608, "optimal")
+
+    def test_node_counts_pinned(self):
+        # Node counts are deterministic and are the solver's main metric.
+        # Each graph here is searched by the first pass.  A change to a
+        # bound, the edge order or the child order that moves a pin needs
+        # a CHANGES.md entry that says so.
+        for seed, m, nodes in ((59, 12, 74), (61, 14, 419), (100, 14, 326)):
+            g = gen_random(9, 0.35, seed)
+            r = solve_pair(g)
+            rb = solve_pair_bruteforce(g)
+            assert (g.m, r.nodes) == (m, nodes)
+            assert (r.lambda2, r.alpha2, r.status) == (rb.lambda2, rb.alpha2, "optimal")
 
     def test_tight_family_total_met_at_the_root(self):
         # tight k=100, 1,000 edges: the colored 2-matching meets
