@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--node-budget",
             type=int,
             default=DEFAULT_NODE_BUDGET,
-            help="branch-and-bound node budget per graph",
+            help="solver work budget per graph (search nodes or DP table entries)",
         )
         p.add_argument(
             "--no-timings",

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 from .alternating import LemmaReport, verify_lemmas
 from .graph import Graph
-from .matching import max_matching
 from .pairs import (
     DEFAULT_NODE_BUDGET,
     PAIR_ORACLE_MAX_EDGES,
@@ -39,7 +38,7 @@ __all__ = [
     "run_census",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,8 @@ class GraphReport:
     """Solver results for one graph; ``ratio_ok`` is the exact integer
     comparison 4*nu <= 5*alpha2, and ``ratio``, ``ratio_ok`` and the
     reported ``nu_minus_alpha2`` are ``None`` unless the pair optima are
-    certified (status ``ok``)."""
+    certified (status ``ok``); ``certified_by`` names the route that
+    certified them (``"caps"``, ``"dp"`` or ``"search"``), else ``None``."""
 
     source: str
     n: int
@@ -82,6 +82,7 @@ class GraphReport:
     ratio_ok: bool | None
     status: str
     solver_nodes: int
+    certified_by: str | None
     lemmas: LemmaSummary
     timings: dict[str, float] | None = None
     witness: dict[str, list[list[int]]] | None = None
@@ -105,6 +106,7 @@ class GraphReport:
             "ratio_ok": self.ratio_ok,
             "status": self.status,
             "solver_nodes": self.solver_nodes,
+            "certified_by": self.certified_by,
             "lemmas": self.lemmas.to_dict(),
         }
         if self.witness is not None:
@@ -138,11 +140,8 @@ def analyze_graph(
     timings: dict[str, float] = {}
 
     t0 = perf_counter()
-    nu = len(max_matching(g))
-    timings["max_matching"] = perf_counter() - t0
-
-    t0 = perf_counter()
     pair = solve_pair(g, node_budget)
+    nu = pair.nu
     timings["pair_solver"] = perf_counter() - t0
 
     # An uncertified alpha2 bounds nothing, so it gets no ratio verdict.
@@ -166,7 +165,7 @@ def analyze_graph(
         triple = canonical_triple(g)
         report = verify_lemmas(g, triple)
         failures = list(report.failures())
-        # Dual-route consistency: branch and bound vs exhaustive enumeration.
+        # Dual-route consistency: solve_pair vs exhaustive enumeration.
         if len(triple.h) != pair.alpha2 or len(triple.h) + len(triple.h_prime) != pair.lambda2:
             failures.append("solver_vs_enumeration_mismatch")
         summary = LemmaSummary(
@@ -189,6 +188,7 @@ def analyze_graph(
         ratio_ok=ratio_ok,
         status="ok" if certified else pair.status,
         solver_nodes=pair.nodes,
+        certified_by=pair.route if certified else None,
         lemmas=summary,
         timings=timings if with_timings else None,
         witness=witness,

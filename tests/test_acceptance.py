@@ -84,7 +84,13 @@ def test_criterion_1_ratio_bound_exhaustive_n6():
 
 def test_criterion_2_tight_families_attain_the_bound():
     """The pendant-path construction realizes nu/alpha2 = 5/4 exactly."""
-    bases = {"K2": gen_complete(2), "C4": gen_cycle(4), "K4": gen_complete(4)}
+    bases = {
+        "K2": gen_complete(2),
+        "C4": gen_cycle(4),
+        "K4": gen_complete(4),
+        "C16": gen_cycle(16),
+        "C32": gen_cycle(32),
+    }
     ok = True
     for name, base in bases.items():
         g = gen_tight_family(base)

@@ -46,7 +46,7 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", tight_k2_file, "--no-timings")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         assert (doc["nu"], doc["lambda2"], doc["alpha2"]) == (5, 8, 4)
         assert doc["ratio"] == "5/4"
         assert doc["ratio_ok"] is True
@@ -148,6 +148,29 @@ class TestSolve:
         assert code == 0
         doc = json.loads(out)
         assert (doc["status"], doc["alpha2"], doc["nu_minus_alpha2"]) == ("ok", 7, 0)
+
+    def test_certified_by_names_the_route(self, capsys, tmp_path, tight_k2_cycle_file):
+        # gap 10 meets its caps; tight 8 (alpha2 32 < nu 40) goes to the
+        # dynamic program; this G(24, 0.15) graph's vertex order is too
+        # wide for it, so branch and bound certifies it.
+        for argv, route in (
+            (("gap", "10"), "caps"),
+            (("tight", "8"), "dp"),
+            (("random", "24", "0.15", "--seed", "196"), "search"),
+        ):
+            code, out, _ = run_cli(capsys, "generate", *argv)
+            assert code == 0
+            path = tmp_path / f"{argv[0]}.txt"
+            path.write_text(out)
+            code, out, _ = run_cli(capsys, "solve", str(path), "--skip-lemmas", "--no-timings")
+            assert code == 0
+            doc = json.loads(out)
+            assert (doc["status"], doc["certified_by"]) == ("ok", route)
+        code, out, _ = run_cli(
+            capsys, "solve", tight_k2_cycle_file, "--node-budget", "5", "--skip-lemmas", "--no-timings"
+        )
+        assert code == 3
+        assert json.loads(out)["certified_by"] is None
 
     def test_csv_output(self, capsys, tight_k2_file):
         code, out, _ = run_cli(

@@ -23,7 +23,8 @@ from twomatch import (
     solve_pair_bruteforce,
 )
 
-from twomatch.pairs import _max_2_matching, _pair_from_2_matching
+from twomatch import pairs
+from twomatch.pairs import _frontier_dp, _frontier_order, _max_2_matching, _pair_from_2_matching
 
 from conftest import all_matchings_by_filtering, graphs
 
@@ -92,6 +93,20 @@ def graphs_up_to(n: int):
         yield from enumerate_graphs(k)
 
 
+@pytest.fixture()
+def search_only(monkeypatch):
+    """Send every graph the caps leave open to branch and bound, so the
+    tests that guard the search keep its graphs when the dynamic program
+    would take them."""
+    monkeypatch.setattr(pairs, "_DP_MAX_WIDTH", -1)
+
+
+def forced_dp(g: Graph, node_budget: int = 10**8):
+    """The frontier dynamic program on any graph, caps or not."""
+    program = _frontier_order(g, [g.degree(v) for v in range(g.n)], g.n)
+    return _frontier_dp(program, g.m, node_budget)
+
+
 class TestBruteforce:
     def test_empty_graph(self):
         r = solve_pair_bruteforce(Graph(4, frozenset()))
@@ -147,7 +162,7 @@ class TestSolvePair:
 
     def test_budget_exceeded_is_reported(self):
         # Tight family on C4: alpha2 = 8 never meets nu = 10, so the
-        # second pass searches until the budget runs out.
+        # dynamic program runs until the budget runs out.
         r = solve_pair(gen_tight_family(gen_cycle(4)), node_budget=10)
         assert r.status == "budget_exceeded"
         assert r.nodes > 10
@@ -165,7 +180,7 @@ class TestSolvePair:
         r = solve_pair(gen_gap_family(600))
         assert (r.lambda2, r.alpha2, r.status, r.nodes) == (601, 600, "optimal", 0)
 
-    def test_deep_search_runs_on_an_explicit_stack(self):
+    def test_deep_search_runs_on_an_explicit_stack(self, search_only):
         # tight k=2 on C4 beside a 1,200-edge path: 1,220 edges, and the
         # second pass searches all of them deep, far past Python's
         # recursion limit.
@@ -174,9 +189,9 @@ class TestSolvePair:
         shift = tight.n
         g = Graph(shift + path.n, tight.edges | {(u + shift, v + shift) for u, v in path.edges})
         r = solve_pair(g)
-        assert (r.lambda2, r.alpha2, r.status) == (1216, 608, "optimal")
+        assert (r.lambda2, r.alpha2, r.status, r.route) == (1216, 608, "optimal", "search")
 
-    def test_node_counts_pinned(self):
+    def test_node_counts_pinned(self, search_only):
         # Node counts are deterministic and are the solver's main metric.
         # Each graph here is searched by the first pass.  A change to a
         # bound, the edge order or the child order that moves a pin needs
@@ -185,28 +200,28 @@ class TestSolvePair:
             g = gen_random(9, 0.35, seed)
             r = solve_pair(g)
             rb = solve_pair_bruteforce(g)
-            assert (g.m, r.nodes) == (m, nodes)
+            assert (g.m, r.nodes, r.route) == (m, nodes, "search")
             assert (r.lambda2, r.alpha2, r.status) == (rb.lambda2, rb.alpha2, "optimal")
 
     def test_tight_family_total_met_at_the_root(self):
         # tight k=100, 1,000 edges: the colored 2-matching meets
         # lambda2 = 8k before any search; alpha2 = 4k < nu = 5k leaves the
-        # second pass to the budget.
+        # rest to the dynamic program, which the budget stops.
         r = solve_pair(gen_tight_family(gen_cycle(200)), node_budget=1)
         assert (r.lambda2, r.status) == (800, "budget_exceeded")
 
-    def test_searched_pair_reaches_the_nu_cap(self):
+    def test_searched_pair_reaches_the_nu_cap(self, search_only):
         # Pass 1 ends here with a larger side below nu = alpha2 = 6, so
         # pass 2 must search on up to the nu cap, not stop below it.
         for n, p, seed in ((14, 0.2, 337), (14, 0.15, 2064)):
             g = gen_random(n, p, seed)
             r = solve_pair(g)
             rb = solve_pair_bruteforce(g)
-            assert r.nodes > 0
+            assert r.nodes > 0 and r.route == "search"
             assert (r.lambda2, r.alpha2) == (rb.lambda2, rb.alpha2)
             assert r.alpha2 == len(max_matching(g))
 
-    def test_node_bounds_keep_the_optimum(self):
+    def test_node_bounds_keep_the_optimum(self, search_only):
         # Inputs on which a node bound that counts one vertex slot, or one
         # vertex free to a side, too few cuts off every optimal pair.
         for n, edges in (
@@ -216,7 +231,7 @@ class TestSolvePair:
             g = Graph(n, frozenset(edges))
             r = solve_pair(g)
             rb = solve_pair_bruteforce(g)
-            assert (r.lambda2, r.alpha2) == (rb.lambda2, rb.alpha2)
+            assert (r.lambda2, r.alpha2, r.route) == (rb.lambda2, rb.alpha2, "search")
 
     def test_2_matching_bound_exhaustive_n5(self):
         for g in graphs_up_to(5):
@@ -242,6 +257,44 @@ class TestSolvePair:
             lam, alpha, _ = pair_optima_by_filtering(g)
             r = solve_pair(g)
             assert (r.lambda2, r.alpha2) == (lam, alpha)
+
+
+class TestFrontierDP:
+    def test_oracle_equivalence_exhaustive_n5(self):
+        for g in graphs_up_to(5):
+            (h, hp), _ = forced_dp(g)
+            rb = solve_pair_bruteforce(g)
+            assert (len(h) + len(hp), len(h)) == (rb.lambda2, rb.alpha2)
+            assert is_matching(g, h) and is_matching(g, hp) and not h & hp
+
+    def test_closed_forms(self):
+        for k in range(1, 17):
+            (h, hp), _ = forced_dp(gen_tight_family(gen_complete(2) if k == 1 else gen_cycle(2 * k)))
+            assert (len(h) + len(hp), len(h)) == (8 * k, 4 * k)
+        for k in range(2, 101):
+            (h, hp), _ = forced_dp(gen_gap_family(k))
+            assert (len(h) + len(hp), len(h)) == (k + 1, k)
+
+    def test_witness_deterministic(self):
+        g = gen_random(9, 0.35, 61)
+        assert forced_dp(g) == forced_dp(g)
+        (h, hp), nodes = forced_dp(gen_tight_family(gen_complete(2)))
+        assert sorted(h) == [(0, 2), (1, 8), (4, 5), (6, 7)]
+        assert sorted(hp) == [(0, 4), (1, 6), (2, 3), (8, 9)]
+        assert nodes == 35
+
+    def test_budget_stops_the_table(self):
+        g = gen_tight_family(gen_cycle(4))
+        pair, nodes = forced_dp(g, node_budget=10)
+        assert pair is None and nodes > 10
+
+    def test_routes(self):
+        # The caps settle the gap family; the tight family's alpha2 = 4k
+        # stays below nu = 5k, and its order has width 5.
+        assert solve_pair(gen_gap_family(10)).route == "caps"
+        for k in (8, 16):
+            r = solve_pair(gen_tight_family(gen_cycle(2 * k)))
+            assert (r.lambda2, r.alpha2, r.nu, r.status, r.route) == (8 * k, 4 * k, 5 * k, "optimal", "dp")
 
 
 class TestEnumerateM2:
