@@ -127,6 +127,16 @@ def _tight_base(k: int) -> Graph:
     return gen_complete(2) if k == 1 else gen_cycle(2 * k)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_k_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
     try:
@@ -146,6 +156,8 @@ def _census_corpus(args: argparse.Namespace) -> tuple[str, list[tuple[str, Graph
         return f"exhaustive n={n}", items
     if args.random is not None:
         n, p, count = int(args.random[0]), float(args.random[1]), int(args.random[2])
+        if count < 0:
+            raise ValueError(f"--random COUNT must be at least 0, got {count}")
         items = [
             (f"random(n={n},p={p},seed={args.seed + i})", gen_random(n, p, args.seed + i))
             for i in range(count)
@@ -293,20 +305,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, input_format: bool = True) -> None:
-        if input_format:
-            p.add_argument(
-                "--format",
-                choices=["edgelist", "graph6"],
-                default="edgelist",
-                help="input format (default: edgelist)",
-            )
+    def add_common(p: argparse.ArgumentParser, node_budget: bool = True) -> None:
         p.add_argument(
-            "--node-budget",
-            type=int,
-            default=DEFAULT_NODE_BUDGET,
-            help="solver work budget per graph (search nodes or DP table entries)",
+            "--format",
+            choices=["edgelist", "graph6"],
+            default="edgelist",
+            help="input format (default: edgelist)",
         )
+        if node_budget:
+            p.add_argument(
+                "--node-budget",
+                type=int,
+                default=DEFAULT_NODE_BUDGET,
+                help="solver work budget per graph (search nodes or DP table entries)",
+            )
         p.add_argument(
             "--no-timings",
             action="store_true",
@@ -346,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="index range for --family (default 2:4)",
     )
     p_census.add_argument("--seed", type=int, default=0, help="base seed for --random")
-    p_census.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_census.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     add_common(p_census)
     p_census.add_argument("--output", choices=["json", "csv"], default="json")
     p_census.add_argument(
@@ -358,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-lemmas", help="check the lemma suite on every maximizing triple"
     )
     p_verify.add_argument("input", help="path to a graph file, or - for stdin")
-    add_common(p_verify)
+    add_common(p_verify, node_budget=False)  # runs no solver
     p_verify.set_defaults(func=cmd_verify_lemmas)
 
     p_gen = sub.add_parser("generate", help="emit a built-in graph")

@@ -8,9 +8,11 @@ which is exactly what ``find_augmenting_path`` returning ``None`` means.
 
 ``max_matching_bruteforce`` is the independent oracle: exhaustive search
 over edge subsets with non-adjacency pruning, used by the test suite to
-validate the augmenting-path code and never called by it.
-``maximum_matchings`` and the pair oracles in ``pairs`` list matchings
-through one private take-then-skip search, ``_matchings``.
+validate the augmenting-path code and never called by it; the pair
+oracle ``pairs.solve_pair_bruteforce`` is its only other caller.
+``maximum_matchings``, ``pairs.enumerate_m2`` and the pair oracle list
+matchings through one private take-then-skip search, ``_matchings``,
+which returns them as edge bitmasks.
 """
 
 from __future__ import annotations
@@ -253,29 +255,37 @@ def max_matching_bruteforce(g: Graph) -> frozenset[Edge]:
     return frozenset(best)
 
 
-def _matchings(edges: list[Edge], size: int | None = None) -> list[frozenset[Edge]]:
+def _matchings(edges: list[Edge], size: int | None = None) -> list[int]:
     """Every matching over ``edges`` (the empty one included), or only those
-    with exactly ``size`` edges, in take-then-skip depth-first order."""
-    masks = [(1 << u) | (1 << v) for u, v in edges]
+    with exactly ``size`` edges, in take-then-skip depth-first order, each
+    as a bitmask with bit i set for ``edges[i]``."""
+    ends = [(1 << u) | (1 << v) for u, v in edges]
     count = len(edges)
     floor = size or 0
-    out: list[frozenset[Edge]] = []
-    chosen: list[Edge] = []
+    out: list[int] = []
 
-    def search(i: int, used: int) -> None:
-        if len(chosen) + (count - i) < floor:
+    def search(i: int, used: int, chosen: int, taken: int) -> None:
+        if taken + (count - i) < floor:
             return
-        if len(chosen) == size or i == count:
-            out.append(frozenset(chosen))
+        if taken == size or i == count:
+            out.append(chosen)
             return
-        if not used & masks[i]:
-            chosen.append(edges[i])
-            search(i + 1, used | masks[i])
-            chosen.pop()
-        search(i + 1, used)
+        if not used & ends[i]:
+            search(i + 1, used | ends[i], chosen | 1 << i, taken + 1)
+        search(i + 1, used, chosen, taken)
 
-    search(0, 0)
+    search(0, 0, 0, 0)
     return out
+
+
+def _edge_set(edges: list[Edge], mask: int) -> frozenset[Edge]:
+    """The edges of ``edges`` whose bits are set in ``mask``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(edges[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
 
 
 def maximum_matchings(g: Graph) -> list[frozenset[Edge]]:
@@ -283,4 +293,5 @@ def maximum_matchings(g: Graph) -> list[frozenset[Edge]]:
 
     Exponential in general; callers enforce their own edge ceilings.
     """
-    return _matchings(sorted(g.edges), len(max_matching(g)))
+    edges = sorted(g.edges)
+    return [_edge_set(edges, x) for x in _matchings(edges, len(max_matching(g)))]

@@ -47,10 +47,16 @@ silently mis-answered.
 ``solve_pair_bruteforce`` is the independent oracle: it enumerates every
 matching H outright and pairs it with an exhaustively computed maximum
 matching of the graph minus H's edges, sharing no code with the dynamic
-program or the branch and bound.  ``enumerate_m2`` reads every optimal
-pair off that same scan: each H of size alpha2 whose partner has
-lambda2 - alpha2 edges, followed by every maximum matching of the graph
-minus H's edges.  So the triple search scans each graph once.
+program or the branch and bound.  The package never calls it; the tests
+compare against it.
+
+The triple search runs no oracle and no ``solve_pair``.  ``enumerate_m2``
+lists the matchings once as edge bitmasks and scores each H by the
+matching number of the graph minus H's edges, from a recursion over edge
+subsets memoized for the call; each H of size alpha2 whose score is
+lambda2 - alpha2 is followed by every matching of that size disjoint
+from it.  ``canonical_triples`` meets each such pair with every maximum
+matching and counts the overlaps on bitmasks.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import Edge, Graph
-from .matching import _matchings, max_matching, max_matching_bruteforce, maximum_matchings
+from .matching import _edge_set, _matchings, max_matching, max_matching_bruteforce, maximum_matchings
 
 __all__ = [
     "PairResult",
@@ -496,9 +502,10 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
 def _scan(g: Graph) -> list[tuple[frozenset[Edge], frozenset[Edge]]]:
     """Every matching H of ``g`` in scan order, each with the exhaustive
     oracle's maximum matching of the graph without H's edges."""
+    edges = sorted(g.edges)
     return [
         (h, max_matching_bruteforce(Graph(g.n, g.edges - h)))
-        for h in _matchings(sorted(g.edges))
+        for h in (_edge_set(edges, x) for x in _matchings(edges))
     ]
 
 
@@ -537,44 +544,83 @@ def enumerate_m2(g: Graph) -> Iterator[tuple[frozenset[Edge], frozenset[Edge]]]:
     """Yield every ordered optimal pair: total equal to the best total and
     first side equal to the largest attainable side, each exactly once.
 
-    The pairs are read off the oracle's one scan: H runs over the
-    matchings of size alpha2 whose removal leaves matching number
-    lambda2 - alpha2, in scan order, and for each H the second side runs
-    over the maximum matchings of the graph without H's edges, in
-    take-then-skip order over sorted edges.
+    The matchings H of ``g`` are listed once, as bitmasks over the sorted
+    edges, in take-then-skip order, and each is scored by nu of the graph
+    without H's edges: nu(S) = max(nu(S - e), 1 + nu(S - N[e])) over edge
+    sets S, where e is the lowest edge of S and N[e] is e with the edges
+    that share an endpoint with it, memoized for the call.  That scan
+    gives lambda2 and alpha2.  H then runs over the matchings of size
+    alpha2 whose removal leaves matching number lambda2 - alpha2, in scan
+    order, and for each H the second side runs over the maximum matchings
+    of the graph without H's edges, in take-then-skip order over sorted
+    edges.
     """
     if g.m > PAIR_ORACLE_MAX_EDGES:
         raise ValueError(f"enumeration ceiling is {PAIR_ORACLE_MAX_EDGES} edges")
-    scan = _scan(g)
-    opt = _best_pair(scan)
-    beta = opt.lambda2 - opt.alpha2
-    for h, partner in scan:
-        if len(h) == opt.alpha2 and len(partner) == beta:
-            for hp in _matchings(sorted(g.edges - h), beta):
-                yield h, hp
+    edges = sorted(g.edges)
+    at = [0] * g.n  # the edges at each vertex
+    for i, (u, v) in enumerate(edges):
+        at[u] |= 1 << i
+        at[v] |= 1 << i
+    closed = [at[u] | at[v] for u, v in edges]
+    memo = {0: 0}
+
+    def nu(s: int) -> int:
+        got = memo.get(s)
+        if got is None:
+            low = s & -s
+            got = max(nu(s ^ low), 1 + nu(s & ~closed[low.bit_length() - 1]))
+            memo[s] = got
+        return got
+
+    full = (1 << len(edges)) - 1
+    scan = [(h, h.bit_count(), nu(full ^ h)) for h in _matchings(edges)]
+    lambda2 = max(size + rest for _, size, rest in scan)
+    # A best partner of an optimal H is itself an optimal H, so the
+    # largest side shows up as some |H|.
+    alpha2 = max(size for _, size, rest in scan if size + rest == lambda2)
+    beta = lambda2 - alpha2
+    # The scan lists the partners too, and in the order that a search over
+    # the edges outside H alone would.
+    partners = [h for h, size, _ in scan if size == beta]
+    for h, size, rest in scan:
+        if size == alpha2 and rest == beta:
+            side = _edge_set(edges, h)
+            for hp in partners:
+                if not hp & h:
+                    yield side, _edge_set(edges, hp)
 
 
 def canonical_triples(g: Graph) -> list[CanonicalTriple]:
     """All triples attaining the lexicographic maximum of
     (|m & h|, |m & h_prime|) over optimal pairs and maximum matchings.
 
-    Sorted by (h, h_prime, m) as sorted edge tuples, so the first entry
-    is the canonical representative.
+    Every optimal pair from ``enumerate_m2`` meets every matching from
+    ``maximum_matchings``; overlaps are counted on edge bitmasks.  Sorted
+    by (h, h_prime, m) as sorted edge tuples, so the first entry is the
+    canonical representative.
     """
     if g.m > PAIR_ORACLE_MAX_EDGES:
         raise ValueError(f"triple-search ceiling is {PAIR_ORACLE_MAX_EDGES} edges")
     pairs = list(enumerate_m2(g))
     matchings = maximum_matchings(g)
-    best_key = (-1, -1)
+    bit = {e: 1 << i for i, e in enumerate(sorted(g.edges))}
+    masks = [sum(map(bit.__getitem__, m)) for m in matchings]
+    # The key (|m & h|, |m & h_prime|) packed into one integer; a side of
+    # a pair has at most 14 edges, so 4 bits hold the second count.
+    best = -1
     found: list[CanonicalTriple] = []
     for h, hp in pairs:
-        for m in matchings:
-            key = (len(m & h), len(m & hp))
-            if key > best_key:
-                best_key = key
-                found = [CanonicalTriple(h, hp, m)]
-            elif key == best_key:
-                found.append(CanonicalTriple(h, hp, m))
+        a = sum(map(bit.__getitem__, h))
+        b = sum(map(bit.__getitem__, hp))
+        keys = [(x & a).bit_count() << 4 | (x & b).bit_count() for x in masks]
+        top = max(keys)
+        if top < best:
+            continue
+        if top > best:
+            best = top
+            found = []
+        found += [CanonicalTriple(h, hp, m) for m, key in zip(matchings, keys) if key == top]
     found.sort(key=lambda t: (sorted(t.h), sorted(t.h_prime), sorted(t.m)))
     return found
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -309,6 +311,19 @@ class TestCensus:
         doc = json.loads(out)
         assert doc["count"] == 12
 
+    def test_negative_count_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "census", "--random", "7", "0.3", "-1")
+        assert code == 2
+        assert out == ""
+        assert "COUNT" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--exhaustive", "3", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_graph6_file_corpus(self, capsys, tmp_path):
         gs = [gen_random(6, 0.4, s) for s in range(8)]
         path = tmp_path / "corpus.g6"
@@ -364,6 +379,33 @@ class TestVerifyLemmas:
             launched = triple["launched_paths"]
             assert launched["count"] == 2
             assert all(length >= 4 for length in launched["lengths"])
+
+    def test_node_budget_is_not_an_option(self, capsys, tmp_path):
+        path = tmp_path / "k2.txt"
+        path.write_text("0 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-lemmas", str(path), "--node-budget", "5"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (["tight", "1"], "7dffa4512992b3a93dc36e4ee03ca058c7d11da69066a88232fb75220206a042"),
+            (["gap", "4"], "3bef58957045395d1d6f7a40f9d6999510ece84f7e23918f04dcdaab71fba4f3"),
+            (
+                ["random", "8", "0.35", "--seed", "3"],
+                "7c0eeb541c10662077d726cd95435aa181b13db852457825dad08014771b708d",
+            ),
+        ],
+    )
+    def test_every_triple_pinned(self, capsys, monkeypatch, spec, digest):
+        # The report lists every maximizing triple with its checks, so this
+        # pins the triple search's output and order byte for byte.
+        _, text, _ = run_cli(capsys, "generate", *spec)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run_cli(capsys, "verify-lemmas", "-", "--no-timings")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestGenerate:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from twomatch import (
     PAIR_ORACLE_MAX_EDGES,
     Graph,
+    analyze_graph,
     canonical_triple,
     canonical_triples,
     enumerate_graphs,
@@ -297,6 +298,19 @@ class TestFrontierDP:
             assert (r.lambda2, r.alpha2, r.nu, r.status, r.route) == (8 * k, 4 * k, 5 * k, "optimal", "dp")
 
 
+def tight_and_pendant() -> tuple[Graph, Graph]:
+    """Two gap = 1 graphs: tight(1) (4 optimal pairs), and tight(1) with a
+    pendant length-2 path on vertex 0 (12 pairs)."""
+    tight = gen_tight_family(gen_complete(2))
+    pendant = Graph(tight.n + 2, tight.edges | {(0, tight.n), (tight.n, tight.n + 1)})
+    return tight, pendant
+
+
+def small_graphs():
+    for n in range(6):
+        yield from enumerate_graphs(n)
+
+
 class TestEnumerateM2:
     def test_single_edge(self):
         assert list(enumerate_m2(gen_complete(2))) == [
@@ -317,18 +331,47 @@ class TestEnumerateM2:
         assert list(enumerate_m2(g)) == list(enumerate_m2(g))
 
     def test_matches_filter_oracle(self):
-        for g in enumerate_graphs(4):
+        for g in small_graphs():
             _, _, expect = pair_optima_by_filtering(g)
             got = list(enumerate_m2(g))
             assert len(got) == len(set(got))
             assert set(got) == expect
 
+    def test_pair_sizes_match_the_pair_oracle(self):
+        for g in [*small_graphs(), *tight_and_pendant()]:
+            r = solve_pair_bruteforce(g)
+            sizes = {(len(h) + len(hp), len(h)) for h, hp in enumerate_m2(g)}
+            assert sizes == {(r.lambda2, r.alpha2)}
+
+    def test_pendant_order_pinned(self):
+        _, pendant = tight_and_pendant()
+        got = [(sorted(h), sorted(hp)) for h, hp in enumerate_m2(pendant)]
+        sides = [
+            [(0, 2), (1, 6), (4, 5), (8, 9), (10, 11)],
+            [(0, 2), (1, 8), (4, 5), (6, 7), (10, 11)],
+            [(0, 4), (1, 6), (2, 3), (8, 9), (10, 11)],
+            [(0, 4), (1, 8), (2, 3), (6, 7), (10, 11)],
+            [(0, 10), (1, 6), (2, 3), (4, 5), (8, 9)],
+            [(0, 10), (1, 8), (2, 3), (4, 5), (6, 7)],
+        ]
+        partners = [
+            [(0, 4), (1, 8), (2, 3), (6, 7)],
+            [(0, 10), (1, 8), (2, 3), (6, 7)],
+            [(0, 4), (1, 6), (2, 3), (8, 9)],
+            [(0, 10), (1, 6), (2, 3), (8, 9)],
+            [(0, 2), (1, 8), (4, 5), (6, 7)],
+            [(0, 10), (1, 8), (4, 5), (6, 7)],
+            [(0, 2), (1, 6), (4, 5), (8, 9)],
+            [(0, 10), (1, 6), (4, 5), (8, 9)],
+            [(0, 2), (1, 8), (6, 7), (10, 11)],
+            [(0, 4), (1, 8), (6, 7), (10, 11)],
+            [(0, 2), (1, 6), (8, 9), (10, 11)],
+            [(0, 4), (1, 6), (8, 9), (10, 11)],
+        ]
+        assert got == [(sides[i // 2], hp) for i, hp in enumerate(partners)]
+
     def test_matches_filter_oracle_random(self):
-        # Two gap = 1 graphs: tight(1) (4 pairs), and tight(1) with a pendant
-        # length-2 path on vertex 0 (12 pairs).
-        tight = gen_tight_family(gen_complete(2))
-        pendant = Graph(tight.n + 2, tight.edges | {(0, tight.n), (tight.n, tight.n + 1)})
-        corpus = [gen_random(6, 0.4, 6_000 + i) for i in range(25)] + [tight, pendant]
+        corpus = [gen_random(6, 0.4, 6_000 + i) for i in range(25)] + [*tight_and_pendant()]
         for g in corpus:
             if g.m > PAIR_ORACLE_MAX_EDGES:
                 continue
@@ -380,6 +423,17 @@ class TestCanonicalTriple:
     def test_ceiling(self):
         with pytest.raises(ValueError):
             canonical_triple(gen_tight_family(gen_cycle(4)))  # 20 edges
+
+
+def test_oracle_is_off_the_production_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("oracle called on the production path")
+
+    monkeypatch.setattr(pairs, "max_matching_bruteforce", refuse)
+    monkeypatch.setattr(pairs, "_scan", refuse)
+    for g in tight_and_pendant():
+        lemmas = analyze_graph(g, with_timings=False).lemmas
+        assert (lemmas.checked, lemmas.passed, lemmas.failed) == (True, 15, 0)
 
 
 @settings(max_examples=80, deadline=None)
