@@ -2,129 +2,22 @@
 matchings, with machine verification of the structural facts bounding the
 ratio between the two optima by 5/4."""
 
-from .graph import (
-    ENUMERATION_MAX_VERTICES,
-    Edge,
-    EdgeListError,
-    Graph,
-    edge,
-    enumerate_graphs,
-    gen_complete,
-    gen_cycle,
-    gen_gap_family,
-    gen_path,
-    gen_random,
-    gen_tight_family,
-    parse_edge_list,
-    to_edge_list,
-)
-from .graph6 import GRAPH6_MAX_N, Graph6Error, encode_graph6, iter_graph6, parse_graph6
-from .matching import (
-    BRUTEFORCE_MAX_EDGES,
-    AugmentingPath,
-    augment,
-    find_augmenting_path,
-    is_matching,
-    matching_violation,
-    max_matching,
-    max_matching_bruteforce,
-    maximum_matchings,
-)
-from .pairs import (
-    DEFAULT_NODE_BUDGET,
-    PAIR_ORACLE_MAX_EDGES,
-    CanonicalTriple,
-    PairResult,
-    canonical_triple,
-    canonical_triples,
-    enumerate_m2,
-    solve_pair,
-    solve_pair_bruteforce,
-)
-from .alternating import (
-    LEMMA_CHECKS,
-    AlternatingComponent,
-    Decomposition,
-    LemmaReport,
-    TripleArtifacts,
-    Verdict,
-    check_property_1,
-    check_property_2,
-    check_property_3,
-    check_property_4,
-    decompose,
-    derive_artifacts,
-    verify_lemmas,
-)
-from .reports import (
-    SCHEMA_VERSION,
-    CensusSummary,
-    GraphReport,
-    LemmaSummary,
-    analyze_graph,
-    run_census,
-    verify_graph,
-)
+from . import alternating, graph, graph6, matching, pairs, reports
+from .alternating import *
+from .graph import *
+from .graph6 import *
+from .matching import *
+from .pairs import *
+from .reports import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Edge",
-    "Graph",
-    "EdgeListError",
-    "edge",
-    "parse_edge_list",
-    "to_edge_list",
-    "gen_path",
-    "gen_cycle",
-    "gen_complete",
-    "gen_random",
-    "gen_tight_family",
-    "gen_gap_family",
-    "enumerate_graphs",
-    "ENUMERATION_MAX_VERTICES",
-    "Graph6Error",
-    "GRAPH6_MAX_N",
-    "parse_graph6",
-    "encode_graph6",
-    "iter_graph6",
-    "AugmentingPath",
-    "matching_violation",
-    "is_matching",
-    "find_augmenting_path",
-    "augment",
-    "max_matching",
-    "max_matching_bruteforce",
-    "maximum_matchings",
-    "BRUTEFORCE_MAX_EDGES",
-    "PairResult",
-    "CanonicalTriple",
-    "solve_pair",
-    "solve_pair_bruteforce",
-    "enumerate_m2",
-    "canonical_triple",
-    "canonical_triples",
-    "DEFAULT_NODE_BUDGET",
-    "PAIR_ORACLE_MAX_EDGES",
-    "AlternatingComponent",
-    "Decomposition",
-    "TripleArtifacts",
-    "Verdict",
-    "LemmaReport",
-    "LEMMA_CHECKS",
-    "decompose",
-    "check_property_1",
-    "check_property_2",
-    "check_property_3",
-    "check_property_4",
-    "derive_artifacts",
-    "verify_lemmas",
-    "SCHEMA_VERSION",
-    "LemmaSummary",
-    "GraphReport",
-    "CensusSummary",
-    "analyze_graph",
-    "verify_graph",
-    "run_census",
+    *graph.__all__,
+    *graph6.__all__,
+    *matching.__all__,
+    *pairs.__all__,
+    *alternating.__all__,
+    *reports.__all__,
     "__version__",
 ]

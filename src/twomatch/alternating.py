@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graph import Edge, Graph
+from .graph import Edge, Graph, _paths_and_cycles
 from .matching import matching_violation, max_matching
 from .pairs import CanonicalTriple
 
@@ -93,72 +93,21 @@ class Decomposition:
         return self.even_paths + self.odd_paths_a + self.odd_paths_b
 
 
-def _difference_adjacency(
-    a: frozenset[Edge], b: frozenset[Edge]
-) -> tuple[dict[int, list[tuple[int, Edge]]], dict[Edge, str]]:
-    side_of: dict[Edge, str] = {}
-    for e in a - b:
-        side_of[e] = "A"
-    for e in b - a:
-        side_of[e] = "B"
-    adj: dict[int, list[tuple[int, Edge]]] = {}
-    for u, v in side_of:
-        adj.setdefault(u, []).append((v, (u, v)))
-        adj.setdefault(v, []).append((u, (u, v)))
-    for items in adj.values():
-        items.sort()
-    return adj, side_of
+def _difference(a: frozenset[Edge], b: frozenset[Edge]) -> dict[Edge, str]:
+    """The side, "A" or "B", of each edge in just one of ``a`` and ``b``."""
+    side_of = dict.fromkeys(a - b, "A")
+    side_of.update(dict.fromkeys(b - a, "B"))
+    return side_of
 
 
-def _trace_path(
-    adj: dict[int, list[tuple[int, Edge]]],
-    side_of: dict[Edge, str],
-    visited: set[Edge],
-    start: int,
-) -> AlternatingComponent:
-    """Walk a path component from a degree-1 vertex, marking edges visited."""
-    vertices = [start]
-    edges: list[Edge] = []
-    sides: list[str] = []
-    cur = start
-    while True:
-        step = [(w, e) for w, e in adj[cur] if e not in visited]
-        if not step:
-            break
-        w, e = step[0]
-        visited.add(e)
-        edges.append(e)
-        sides.append(side_of[e])
-        vertices.append(w)
-        cur = w
-    kind = "even_path" if len(edges) % 2 == 0 else "odd_path"
-    return AlternatingComponent(kind, tuple(vertices), tuple(edges), tuple(sides))
-
-
-def _trace_cycle(
-    adj: dict[int, list[tuple[int, Edge]]],
-    side_of: dict[Edge, str],
-    visited: set[Edge],
-    start: int,
-) -> AlternatingComponent:
-    """Walk a cycle from its smallest vertex toward its smaller neighbor."""
-    vertices = [start]
-    edges: list[Edge] = []
-    sides: list[str] = []
-    w, e = adj[start][0]  # adjacency is sorted: smaller neighbor first
-    visited.add(e)
-    edges.append(e)
-    sides.append(side_of[e])
-    cur = w
-    while cur != start:
-        vertices.append(cur)
-        step = [(w2, e2) for w2, e2 in adj[cur] if e2 not in visited]
-        w2, e2 = step[0]
-        visited.add(e2)
-        edges.append(e2)
-        sides.append(side_of[e2])
-        cur = w2
-    return AlternatingComponent("cycle", tuple(vertices), tuple(edges), tuple(sides))
+def _component(walk: list[int], side_of: dict[Edge, str]) -> AlternatingComponent:
+    """The component that ``walk`` (from ``_paths_and_cycles``) traces."""
+    edges = tuple((u, v) if u < v else (v, u) for u, v in zip(walk, walk[1:]))
+    sides = tuple(side_of[e] for e in edges)
+    if walk[0] == walk[-1]:
+        return AlternatingComponent("cycle", tuple(walk[:-1]), edges, sides)
+    kind = "odd_path" if len(edges) % 2 else "even_path"
+    return AlternatingComponent(kind, tuple(walk), edges, sides)
 
 
 def decompose(g: Graph, a: Iterable[Edge], b: Iterable[Edge]) -> Decomposition:
@@ -175,15 +124,8 @@ def decompose(g: Graph, a: Iterable[Edge], b: Iterable[Edge]) -> Decomposition:
         reason = matching_violation(g, s)
         if reason is not None:
             raise ValueError(f"{name} matching invalid: {reason}")
-    adj, side_of = _difference_adjacency(a, b)
-    visited: set[Edge] = set()
-    comps: list[AlternatingComponent] = []
-    for v in sorted(v for v, items in adj.items() if len(items) == 1):
-        if adj[v][0][1] not in visited:
-            comps.append(_trace_path(adj, side_of, visited, v))
-    for v in sorted(adj):
-        if any(e not in visited for _, e in adj[v]):
-            comps.append(_trace_cycle(adj, side_of, visited, v))
+    side_of = _difference(a, b)
+    comps = [_component(walk, side_of) for walk in _paths_and_cycles(side_of)]
     comps.sort(key=lambda c: min(c.vertices))
 
     cycles = tuple(c for c in comps if c.kind == "cycle")
@@ -299,7 +241,17 @@ def derive_artifacts(g: Graph, t: CanonicalTriple) -> TripleArtifacts:
     m_a = frozenset(e for c in odd_m for e, s in zip(c.edges, c.sides) if s == "A")
     h_a = frozenset(e for c in odd_m for e, s in zip(c.edges, c.sides) if s == "B")
 
-    adj, side_of = _difference_adjacency(h, hp)
+    if not odd_m:  # nothing to launch from
+        return TripleArtifacts(m_a, h_a, (), frozenset(), 0)
+
+    # Each path of the pair difference, keyed by either end and walked
+    # from it.
+    side_of = _difference(h, hp)
+    from_end: dict[int, list[int]] = {}
+    for walk in _paths_and_cycles(side_of):
+        if walk[0] != walk[-1]:
+            from_end[walk[0]] = walk
+            from_end[walk[-1]] = walk[::-1]
     defects: list[str] = []
     launched: list[AlternatingComponent] = []
     seen: set[frozenset[Edge]] = set()
@@ -312,12 +264,12 @@ def derive_artifacts(g: Graph, t: CanonicalTriple) -> TripleArtifacts:
                     f"end-edge {end_edge} of odd path {path.edges} outside the smaller side"
                 )
                 continue
-            if len(adj.get(vertex, ())) != 1:
+            if vertex not in from_end:
                 defects.append(
                     f"launch vertex {vertex} is not a path endpoint in the pair difference"
                 )
                 continue
-            comp = _trace_path(adj, side_of, set(), vertex)
+            comp = _component(from_end[vertex], side_of)
             launches += 1
             key = frozenset(comp.edges)
             if key not in seen:

@@ -305,25 +305,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, node_budget: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, solver: bool = True) -> None:
         p.add_argument(
             "--format",
             choices=["edgelist", "graph6"],
             default="edgelist",
             help="input format (default: edgelist)",
         )
-        if node_budget:
+        if solver:
             p.add_argument(
                 "--node-budget",
                 type=int,
                 default=DEFAULT_NODE_BUDGET,
                 help="solver work budget per graph (search nodes or DP table entries)",
             )
-        p.add_argument(
-            "--no-timings",
-            action="store_true",
-            help="omit timing fields for byte-stable output",
-        )
+            p.add_argument(
+                "--no-timings",
+                action="store_true",
+                help="omit timing fields for byte-stable output",
+            )
 
     p_solve = sub.add_parser("solve", help="analyze a single graph")
     p_solve.add_argument("input", help="path to a graph file, or - for stdin")
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-lemmas", help="check the lemma suite on every maximizing triple"
     )
     p_verify.add_argument("input", help="path to a graph file, or - for stdin")
-    add_common(p_verify, node_budget=False)  # runs no solver
+    add_common(p_verify, solver=False)  # runs no solver and times nothing
     p_verify.set_defaults(func=cmd_verify_lemmas)
 
     p_gen = sub.add_parser("generate", help="emit a built-in graph")

@@ -4,7 +4,9 @@ Vertices are dense integer indices ``0 .. n-1`` and edges are stored
 canonically as pairs ``(u, v)`` with ``u < v``.  Constructors validate the
 no-loop / no-duplicate / endpoints-in-range invariants, so any ``Graph``
 instance can be trusted downstream.  Graphs are immutable and safe to
-share across worker processes.
+share across worker processes.  The one walk over the paths and cycles of
+an edge set with degrees at most 2, which ``pairs`` and ``alternating``
+share, lives here too.
 """
 
 from __future__ import annotations
@@ -73,9 +75,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return u != v and edge(u, v) in self.edges
-
     def adjacency(self) -> list[list[int]]:
         """Sorted adjacency lists (rebuilt per call; graphs here are small)."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -91,6 +90,39 @@ class Graph:
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
+
+
+def _paths_and_cycles(edges: Iterable[Edge]) -> list[list[int]]:
+    """The paths and cycles of an edge set in which no vertex has degree
+    above 2, each as the list of vertices it walks through.
+
+    Paths come first, in order of their smaller end, each walked from that
+    end.  Cycles follow, in order of their smallest vertex, each walked
+    from it toward its smaller neighbor and back, so the list repeats that
+    vertex at its end.
+    """
+    adj: dict[int, list[int]] = {}
+    for u, v in sorted(edges):  # so that every neighbor list is sorted
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen = set()
+    walks = []
+    for start in sorted(v for v, near in adj.items() if len(near) == 1) + sorted(adj):
+        if start in seen:
+            continue
+        walk = [start]
+        prev, v = start, adj[start][0]
+        while v != start:
+            walk.append(v)
+            near = adj[v]
+            if len(near) == 1:  # the far end of a path
+                break
+            prev, v = v, near[1] if near[0] == prev else near[0]
+        else:
+            walk.append(start)
+        seen.update(walk)
+        walks.append(walk)
+    return walks
 
 
 class EdgeListError(ValueError):

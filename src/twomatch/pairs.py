@@ -35,10 +35,9 @@ twice: the first pass raises the total goal past each pair it finds, the
 second fixes the total at the optimum and raises the side goal.  The
 total is bounded by the assigned total plus half the free vertex slots
 (each vertex can take min(2 - its assigned pair edges, its unassigned
-edges) more), and a side can grow by at most half the vertices outside
-it that still have an unassigned edge.  Both bounds update in O(1) per
-node.  A pass whose incumbent meets its cap is not run, and a pass whose
-goal passes its cap stops there.
+edges) more), a bound that updates in O(1) per node.  A pass whose
+incumbent meets its cap is not run, and a pass whose goal passes its cap
+stops there.
 
 Both the dynamic program and the search are exact; one that passes the
 node budget (table entries or search nodes) is reported as such, never
@@ -65,7 +64,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Edge, Graph
+from .graph import Edge, Graph, _paths_and_cycles
 from .matching import _edge_set, _matchings, max_matching, max_matching_bruteforce, maximum_matchings
 
 __all__ = [
@@ -169,34 +168,16 @@ def _max_2_matching(g: Graph, deg: list[int]) -> frozenset[Edge]:
 
 def _pair_from_2_matching(two: frozenset[Edge]) -> tuple[frozenset[Edge], frozenset[Edge]]:
     """Split a 2-matching (disjoint paths and cycles) into two disjoint
-    matchings by coloring each path and cycle alternately; an odd cycle
-    loses one edge.  Side one gets the extra edge of each odd path, so it
-    is the larger side."""
-    adj: dict[int, list[int]] = {}
-    for u, v in sorted(two):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = set()
+    matchings by coloring each path and cycle alternately in the order
+    ``_paths_and_cycles`` walks it; an odd cycle loses its closing edge.
+    Side one gets the extra edge of each odd path, so it is the larger
+    side."""
     side1: list[Edge] = []
     side2: list[Edge] = []
-    # Path ends first, so that every path is walked from one end.
-    for start in sorted(adj, key=lambda v: (len(adj[v]) != 1, v)):
-        if start in seen:
-            continue
-        seen.add(start)
-        trail = []
-        prev, v = -1, start
-        while True:
-            w = next((w for w in adj[v] if w != prev), None)
-            if w is None:  # the far end of a path
-                break
-            trail.append((v, w) if v < w else (w, v))
-            if w == start:  # back round a cycle
-                if len(trail) % 2:
-                    trail.pop()
-                break
-            seen.add(w)
-            prev, v = v, w
+    for walk in _paths_and_cycles(two):
+        trail = [(u, v) if u < v else (v, u) for u, v in zip(walk, walk[1:])]
+        if walk[0] == walk[-1] and len(trail) % 2:
+            trail.pop()
         side1 += trail[0::2]
         side2 += trail[1::2]
     return frozenset(side1), frozenset(side2)
@@ -205,8 +186,8 @@ def _pair_from_2_matching(two: frozenset[Edge]) -> tuple[frozenset[Edge], frozen
 def _remaining_degree_masks(edges: list[Edge], deg: list[int]) -> tuple[list[int], list[int]]:
     """For each edge i of ``edges``, the endpoint bits whose remaining
     degree (edges i, i+1, ... that touch the endpoint) is exactly 1, and
-    those where it is exactly 2.  They keep the node bounds of
-    ``solve_pair`` current in O(1) per node."""
+    those where it is exactly 2.  They keep the node bound of
+    ``_branch_and_bound`` current in O(1) per node."""
     left = deg[:]
     last1 = []
     last2 = []
@@ -347,15 +328,16 @@ def _branch_and_bound(
     what it found, the total in the first pass and the side in the
     second.  It returns when that goal passes its cap, when the budget
     runs out, or when the stack empties.  The free vertex slots bound the
-    total and the free vertices of each side bound the larger side (see
-    the module docstring); they cut only subtrees that cannot meet the
-    goals, so the pair returned is the one the search without them
+    total (see the module docstring), and the larger side is checked at
+    the leaves only.  The bound cuts only subtrees that cannot meet the
+    total goal, so the pair returned is the one the search without it
     returns given budget enough.
     """
     # Fail-first edge order: descending endpoint degree sum, then lex.
     edges = sorted(g.edges, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
     count = len(edges)
     masks = [(1 << u) | (1 << v) for u, v in edges]
+    last1, last2 = _remaining_degree_masks(edges, deg)
     slots = sum(min(2, d) for d in deg)
     nodes = 0
     color = [0] * count  # side (1 or 2) or 0 (unused) of each decided edge
@@ -367,34 +349,28 @@ def _branch_and_bound(
         >= ``need_side``, or None; ``side_goal`` picks the goal each leaf
         raises."""
         nonlocal nodes
-        last1, last2 = _remaining_degree_masks(edges, deg)
-        live = sum(1 for d in deg if d)
         found = None
         # A node at depth i has decided edges 0..i-1; it carries the color
-        # of edge i-1, each side's vertex bits, the free vertex slots, the
-        # vertices still free to each side, and each side's size.
-        # Node bound: each vertex can still take min(2 - its assigned pair
-        # edges, its remaining degree) pair edges, and each edge uses two
-        # such slots; ``slack`` is that slot sum.  Assigning edge i uses
-        # two slots; skipping it uses an endpoint's slot only where its
-        # remaining degree was the smaller side of the min: 1 with a free
-        # side, or 2 with both.  Side bound: side one can still take at
-        # most half of ``free1``, the vertices outside it with an edge
-        # left; likewise side two.  A vertex leaves free1 when it joins
-        # side one or its last edge passes.
-        stack = [(0, 0, 0, 0, slots, live, live, 0, 0)]
+        # of edge i-1, each side's vertex bits, the free vertex slots and
+        # each side's size.  Node bound: each vertex can still take
+        # min(2 - its assigned pair edges, its remaining degree) pair
+        # edges, and each edge uses two such slots; ``slack`` is that slot
+        # sum.  Assigning edge i uses two slots; skipping it uses an
+        # endpoint's slot only where its remaining degree was the smaller
+        # side of the min: 1 with a free side, or 2 with both.
+        stack = [(0, 0, 0, 0, slots, 0, 0)]
         while stack:
-            i, c, occ1, occ2, slack, free1, free2, c1, c2 = stack.pop()
+            i, c, occ1, occ2, slack, c1, c2 = stack.pop()
             nodes += 1
             if nodes > node_budget:
                 break
             if c1 + c2 + (slack >> 1) < need_total:
                 continue
-            if c1 + (free1 >> 1) < need_side and c2 + (free2 >> 1) < need_side:
-                continue
             if i:
                 color[i - 1] = c
             if i == count:
+                if max(c1, c2) < need_side:
+                    continue
                 found = (
                     frozenset(e for e, side in zip(edges, color) if side == 1),
                     frozenset(e for e, side in zip(edges, color) if side == 2),
@@ -409,19 +385,14 @@ def _branch_and_bound(
                         break
                 continue
             mask = masks[i]
-            if side_goal:
-                gone1 = (last1[i] & ~occ1).bit_count()
-                gone2 = (last1[i] & ~occ2).bit_count()
-            else:  # a side goal of 0 never cuts, so the free counts can go stale
-                gone1 = gone2 = 0
             lost = (last1[i] & ~(occ1 & occ2)).bit_count() + (last2[i] & ~(occ1 | occ2)).bit_count()
             # Children pushed in reverse, so side one is tried first, then
             # side two, then leaving edge i unused.
-            stack.append((i + 1, 0, occ1, occ2, slack - lost, free1 - gone1, free2 - gone2, c1, c2))
+            stack.append((i + 1, 0, occ1, occ2, slack - lost, c1, c2))
             if c1 and not occ2 & mask:  # swap symmetry: side two opens after side one
-                stack.append((i + 1, 2, occ1, occ2 | mask, slack - 2, free1 - gone1, free2 - 2, c1, c2 + 1))
+                stack.append((i + 1, 2, occ1, occ2 | mask, slack - 2, c1, c2 + 1))
             if not occ1 & mask:
-                stack.append((i + 1, 1, occ1 | mask, occ2, slack - 2, free1 - 2, free2 - gone2, c1 + 1, c2))
+                stack.append((i + 1, 1, occ1 | mask, occ2, slack - 2, c1 + 1, c2))
         return found
 
     # First pass: raise the total.  Second pass: total fixed at the

@@ -387,6 +387,14 @@ class TestVerifyLemmas:
             main(["verify-lemmas", str(path), "--node-budget", "5"])
         assert exc.value.code == 2
 
+    def test_no_timings_is_not_an_option(self, capsys, tmp_path):
+        # The report has no timings to omit.
+        path = tmp_path / "k2.txt"
+        path.write_text("0 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-lemmas", str(path), "--no-timings"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize(
         "spec, digest",
         [
@@ -403,7 +411,7 @@ class TestVerifyLemmas:
         # pins the triple search's output and order byte for byte.
         _, text, _ = run_cli(capsys, "generate", *spec)
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-        code, out, _ = run_cli(capsys, "verify-lemmas", "-", "--no-timings")
+        code, out, _ = run_cli(capsys, "verify-lemmas", "-")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import twomatch
 from twomatch import (
     ENUMERATION_MAX_VERTICES,
     EdgeListError,
@@ -19,6 +20,7 @@ from twomatch import (
     parse_edge_list,
     to_edge_list,
 )
+from twomatch import alternating, graph, graph6, matching, pairs, reports
 
 
 class TestGraphType:
@@ -207,3 +209,12 @@ def test_gen_random_within_model(seed, n, p):
     assert g.n == n
     for u, v in g.edges:
         assert 0 <= u < v < n
+
+
+class TestPublicSurface:
+    def test_package_lists_each_module_name_once(self):
+        modules = (alternating, graph, graph6, matching, pairs, reports)
+        names = [name for module in modules for name in module.__all__]
+        assert len(names) == len(set(names))
+        assert sorted(twomatch.__all__) == sorted(names + ["__version__"])
+        assert all(hasattr(twomatch, name) for name in twomatch.__all__)

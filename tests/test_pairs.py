@@ -223,8 +223,9 @@ class TestSolvePair:
             assert r.alpha2 == len(max_matching(g))
 
     def test_node_bounds_keep_the_optimum(self, search_only):
-        # Inputs on which a node bound that counts one vertex slot, or one
-        # vertex free to a side, too few cuts off every optimal pair.
+        # Inputs on which a node bound that counts one vertex slot too few
+        # cuts off every optimal pair: on the first it loses the total, on
+        # the second, in the second pass, the larger side.
         for n, edges in (
             (10, [(0, 2), (0, 9), (1, 6), (2, 3), (2, 8), (2, 9), (3, 7), (3, 8), (4, 5), (5, 8), (6, 8)]),
             (14, [(0, 3), (1, 3), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (2, 8), (2, 9), (3, 9), (5, 7), (6, 12), (8, 9)]),
@@ -252,6 +253,19 @@ class TestSolvePair:
             assert len(h) >= len(hp)
             # Each odd cycle of the 2-matching loses exactly one edge.
             assert len(h) + len(hp) == len(two) - odd_cycles(g.n, two)
+
+    def test_2_matching_split_order_pinned(self):
+        # An odd path 0-5-1-7, an even path 2-8-3-9-4 and an odd cycle
+        # 6-12-10-11-13.  The even path is colored from its smaller end,
+        # and the odd cycle from 6 toward 12, so it loses (6, 13).
+        two = frozenset(
+            [(0, 5), (1, 5), (1, 7)]
+            + [(2, 8), (3, 8), (3, 9), (4, 9)]
+            + [(6, 12), (10, 12), (10, 11), (11, 13), (6, 13)]
+        )
+        h, hp = _pair_from_2_matching(two)
+        assert h == {(0, 5), (1, 7), (2, 8), (3, 9), (6, 12), (10, 11)}
+        assert hp == {(1, 5), (3, 8), (4, 9), (10, 12), (11, 13)}
 
     def test_independent_filter_oracle_n4(self):
         for g in enumerate_graphs(4):
