@@ -19,8 +19,7 @@ witness on failure; failures are data, not exceptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import Edge, Graph, _paths_and_cycles
 from .matching import matching_violation, max_matching
@@ -43,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AlternatingComponent:
+class AlternatingComponent(NamedTuple):
     """One path or even cycle of the symmetric difference of two matchings.
 
     ``edges`` is the walk order; ``sides[i]`` says which matching owns
@@ -75,8 +73,7 @@ class AlternatingComponent:
         return self.sides.count(side)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Classification of two matchings' union: shared edges plus the
     alternating cycles, even paths, and odd paths by starting side."""
 
@@ -110,6 +107,19 @@ def _component(walk: list[int], side_of: dict[Edge, str]) -> AlternatingComponen
     return AlternatingComponent(kind, tuple(walk), edges, sides)
 
 
+def _decompose(a: frozenset[Edge], b: frozenset[Edge]) -> Decomposition:
+    """``decompose`` of two edge sets already known to be matchings."""
+    side_of = _difference(a, b)
+    comps = [_component(walk, side_of) for walk in _paths_and_cycles(side_of)]
+    comps.sort(key=lambda c: min(c.vertices))
+
+    cycles = tuple(c for c in comps if c.kind == "cycle")
+    evens = tuple(c for c in comps if c.kind == "even_path")
+    odds_a = tuple(c for c in comps if c.kind == "odd_path" and c.sides[0] == "A")
+    odds_b = tuple(c for c in comps if c.kind == "odd_path" and c.sides[0] == "B")
+    return Decomposition(a & b, cycles, evens, odds_a, odds_b)
+
+
 def decompose(g: Graph, a: Iterable[Edge], b: Iterable[Edge]) -> Decomposition:
     """Decompose two matchings of ``g`` into shared edges and alternating
     components, deterministically ordered by smallest component vertex.
@@ -124,19 +134,10 @@ def decompose(g: Graph, a: Iterable[Edge], b: Iterable[Edge]) -> Decomposition:
         reason = matching_violation(g, s)
         if reason is not None:
             raise ValueError(f"{name} matching invalid: {reason}")
-    side_of = _difference(a, b)
-    comps = [_component(walk, side_of) for walk in _paths_and_cycles(side_of)]
-    comps.sort(key=lambda c: min(c.vertices))
-
-    cycles = tuple(c for c in comps if c.kind == "cycle")
-    evens = tuple(c for c in comps if c.kind == "even_path")
-    odds_a = tuple(c for c in comps if c.kind == "odd_path" and c.sides[0] == "A")
-    odds_b = tuple(c for c in comps if c.kind == "odd_path" and c.sides[0] == "B")
-    return Decomposition(a & b, cycles, evens, odds_a, odds_b)
+    return _decompose(a, b)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one exact check; ``detail`` names a witness on failure."""
 
     ok: bool
@@ -203,8 +204,7 @@ def check_property_4(g: Graph, h: Iterable[Edge], h_prime: Iterable[Edge]) -> Ve
     return _property_4(decompose(g, h, h_prime))
 
 
-@dataclass(frozen=True)
-class TripleArtifacts:
+class TripleArtifacts(NamedTuple):
     """Derived objects of a canonical triple.
 
     ``m_a`` / ``h_a``: edges of the maximum matching / larger side lying
@@ -223,11 +223,14 @@ class TripleArtifacts:
     y_paths: tuple[AlternatingComponent, ...]
     h_y: frozenset[Edge]
     launch_count: int
-    defects: tuple[str, ...] = field(default_factory=tuple)
+    defects: tuple[str, ...] = ()
 
 
-def derive_artifacts(g: Graph, t: CanonicalTriple) -> TripleArtifacts:
-    """Build the odd-path edge sets and launched-path family for ``t``."""
+def _triple_sets(
+    g: Graph, t: CanonicalTriple
+) -> tuple[frozenset[Edge], frozenset[Edge], frozenset[Edge]]:
+    """(m, h, h_prime) of ``t`` as frozensets, each checked once to be a
+    matching of ``g``, and the two sides checked to be edge-disjoint."""
     m, h, hp = frozenset(t.m), frozenset(t.h), frozenset(t.h_prime)
     for name, s in (("m", m), ("h", h), ("h_prime", hp)):
         reason = matching_violation(g, s)
@@ -235,8 +238,20 @@ def derive_artifacts(g: Graph, t: CanonicalTriple) -> TripleArtifacts:
             raise ValueError(f"triple component {name} invalid: {reason}")
     if h & hp:
         raise ValueError("triple sides are not edge-disjoint")
+    return m, h, hp
 
-    d_mh = decompose(g, m, h)
+
+def derive_artifacts(g: Graph, t: CanonicalTriple) -> TripleArtifacts:
+    """Build the odd-path edge sets and launched-path family for ``t``."""
+    m, h, hp = _triple_sets(g, t)
+    return _artifacts(h, hp, _decompose(m, h))
+
+
+def _artifacts(
+    h: frozenset[Edge], hp: frozenset[Edge], d_mh: Decomposition
+) -> TripleArtifacts:
+    """``derive_artifacts`` of a checked triple, given the decomposition of
+    its (m, h)."""
     odd_m = d_mh.odd_paths_a
     m_a = frozenset(e for c in odd_m for e, s in zip(c.edges, c.sides) if s == "A")
     h_a = frozenset(e for c in odd_m for e, s in zip(c.edges, c.sides) if s == "B")
@@ -279,8 +294,7 @@ def derive_artifacts(g: Graph, t: CanonicalTriple) -> TripleArtifacts:
     return TripleArtifacts(m_a, h_a, tuple(launched), h_y, launches, tuple(defects))
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Per-check verdicts for one triple, plus the derived artifacts."""
 
     checks: dict[str, Verdict]
@@ -322,17 +336,17 @@ def verify_lemmas(g: Graph, t: CanonicalTriple) -> LemmaReport:
     ``ValueError`` for structurally malformed triples (sides not
     matchings, not disjoint, or ``m`` not maximum).
     """
-    m, h, hp = frozenset(t.m), frozenset(t.h), frozenset(t.h_prime)
-    art = derive_artifacts(g, t)
+    m, h, hp = _triple_sets(g, t)
     if len(m) != len(max_matching(g)):
         raise ValueError("triple component m is not a maximum matching")
 
     nu = len(m)
     alpha = len(h)
     gap = nu - alpha
-    d_mh = decompose(g, m, h)
-    d_hhp = decompose(g, h, hp)
-    d_core = decompose(g, art.m_a, hp)
+    d_mh = _decompose(m, h)
+    art = _artifacts(h, hp, d_mh)
+    d_hhp = _decompose(h, hp)
+    d_core = _decompose(art.m_a, hp)
 
     checks: dict[str, Verdict] = {}
 

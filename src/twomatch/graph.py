@@ -12,8 +12,7 @@ share, lives here too.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "Edge",
@@ -46,25 +45,33 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable simple undirected graph on vertices ``0 .. n-1``."""
-
+class _GraphFields(NamedTuple):
     n: int
     edges: frozenset[Edge]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+
+class Graph(_GraphFields):
+    """Immutable simple undirected graph on vertices ``0 .. n-1``.
+
+    A named tuple, so that importing the package loads no ``dataclasses``;
+    the checks run in ``__new__``, which ``_make`` and ``_replace`` skip.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, edges: Iterable[Edge]) -> "Graph":
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if not isinstance(self.edges, frozenset):
-            object.__setattr__(self, "edges", frozenset(self.edges))
-        for u, v in self.edges:
+        if not isinstance(edges, frozenset):
+            edges = frozenset(edges)
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"loop edge ({u}, {v})")
             if u > v:
                 raise ValueError(f"edge ({u}, {v}) not in canonical order")
-            if u < 0 or v >= self.n:
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+            if u < 0 or v >= n:
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        return super().__new__(cls, n, edges)
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":

@@ -3,8 +3,8 @@
 ``max_matching`` runs Edmonds' algorithm: repeated augmenting-path search
 with odd cycles (blossoms) contracted on the fly through a ``base``
 relabeling, so the search stays complete on non-bipartite graphs.  By
-Berge's theorem the absence of an augmenting path certifies maximality,
-which is exactly what ``find_augmenting_path`` returning ``None`` means.
+Berge's theorem the absence of an augmenting path certifies maximality;
+``_find_path_from`` is the search from one exposed root.
 
 ``max_matching_bruteforce`` is the independent oracle: exhaustive search
 over edge subsets with non-adjacency pruning, used by the test suite to
@@ -18,17 +18,13 @@ which returns them as edge bitmasks.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import Edge, Graph, edge
 
 __all__ = [
-    "AugmentingPath",
     "matching_violation",
     "is_matching",
-    "find_augmenting_path",
-    "augment",
     "max_matching",
     "max_matching_bruteforce",
     "maximum_matchings",
@@ -37,29 +33,6 @@ __all__ = [
 
 #: Edge-count ceiling for the exhaustive oracle; keeps suite runtimes sane.
 BRUTEFORCE_MAX_EDGES = 24
-
-
-@dataclass(frozen=True)
-class AugmentingPath:
-    """Odd-length alternating path between two unmatched vertices.
-
-    ``vertices`` is the walk (smaller endpoint first); ``matched_indices``
-    are the positions k for which (vertices[k], vertices[k+1]) is matched,
-    always (1, 3, 5, ...).
-    """
-
-    vertices: tuple[int, ...]
-    matched_indices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    def edges(self) -> list[Edge]:
-        return [
-            edge(self.vertices[k], self.vertices[k + 1])
-            for k in range(len(self.vertices) - 1)
-        ]
 
 
 def matching_violation(g: Graph, edges: Iterable[Edge]) -> str | None:
@@ -162,46 +135,6 @@ def _find_path_from(adj: list[list[int]], match: list[int], root: int) -> list[i
                     used[match[u]] = True
                     queue.append(match[u])
     return None
-
-
-def _as_augmenting_path(walk: list[int]) -> AugmentingPath:
-    if walk[-1] < walk[0]:
-        walk = walk[::-1]
-    return AugmentingPath(tuple(walk), tuple(range(1, len(walk) - 1, 2)))
-
-
-def find_augmenting_path(g: Graph, matching: Iterable[Edge]) -> AugmentingPath | None:
-    """Find an augmenting path for ``matching``, or certify there is none.
-
-    A ``None`` result means the matching is maximum.  Raises ``ValueError``
-    if the input is not a valid matching of ``g``.
-    """
-    matching = frozenset(matching)
-    reason = matching_violation(g, matching)
-    if reason is not None:
-        raise ValueError(f"invalid matching: {reason}")
-    adj = g.adjacency()
-    match = [-1] * g.n
-    for u, v in matching:
-        match[u] = v
-        match[v] = u
-    for root in range(g.n):
-        if match[root] == -1 and adj[root]:
-            walk = _find_path_from(adj, match, root)
-            if walk is not None:
-                return _as_augmenting_path(walk)
-    return None
-
-
-def augment(matching: Iterable[Edge], path: AugmentingPath) -> frozenset[Edge]:
-    """Flip the path's edges; the result is a matching one edge larger."""
-    result = set(matching)
-    for k, e in enumerate(path.edges()):
-        if k % 2 == 1:
-            result.remove(e)
-        else:
-            result.add(e)
-    return frozenset(result)
 
 
 def max_matching(g: Graph) -> frozenset[Edge]:

@@ -61,8 +61,7 @@ matching and counts the overlaps on bitmasks.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graph import Edge, Graph, _paths_and_cycles
 from .matching import _edge_set, _matchings, max_matching, max_matching_bruteforce, maximum_matchings
@@ -94,20 +93,7 @@ PAIR_ORACLE_MAX_EDGES = 14
 _DP_MAX_WIDTH = 7
 
 
-@dataclass(frozen=True)
-class PairResult:
-    """Optimal pair sizes plus a witness, normalized so ``len(h) == alpha2``,
-    and the matching number ``nu``.
-
-    ``status`` is ``"optimal"`` for a certified optimum; a run that hits
-    the node budget reports ``"budget_exceeded"`` and the fields hold the
-    best pair found so far (valid lower bounds, not certified optima).
-    ``route`` is how ``solve_pair`` got there, ``"caps"``, ``"dp"`` or
-    ``"search"``, and ``nodes`` is what that route spent: none, table
-    entries, or search nodes.  The exhaustive oracle's results read
-    ``"oracle"``.
-    """
-
+class _PairFields(NamedTuple):
     lambda2: int
     alpha2: int
     h: frozenset[Edge]
@@ -117,15 +103,33 @@ class PairResult:
     nodes: int = 0
     route: str = "oracle"
 
-    def __post_init__(self) -> None:
+
+class PairResult(_PairFields):
+    """Optimal pair sizes plus a witness, normalized so ``len(h) == alpha2``,
+    and the matching number ``nu``.
+
+    ``status`` is ``"optimal"`` for a certified optimum; a run that hits
+    the node budget reports ``"budget_exceeded"`` and the fields hold the
+    best pair found so far (valid lower bounds, not certified optima).
+    ``route`` is how ``solve_pair`` got there, ``"caps"``, ``"dp"`` or
+    ``"search"``, and ``nodes`` is what that route spent: none, table
+    entries, or search nodes.  The exhaustive oracle's results read
+    ``"oracle"``.  The checks run in ``__new__``, which ``_make`` and
+    ``_replace`` skip.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "PairResult":
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.h) != self.alpha2 or len(self.h) + len(self.h_prime) != self.lambda2:
             raise ValueError("witness sizes disagree with the reported optima")
         if self.h & self.h_prime:
             raise ValueError("witness sides are not edge-disjoint")
+        return self
 
 
-@dataclass(frozen=True)
-class CanonicalTriple:
+class CanonicalTriple(NamedTuple):
     """An optimal pair (h, h_prime) together with a maximum matching m
     chosen to maximize (|m & h|, |m & h_prime|) lexicographically."""
 

@@ -11,11 +11,9 @@ over a worker pool with input order preserved in the output.
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from time import perf_counter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .alternating import LemmaReport, verify_lemmas
 from .graph import Graph
@@ -41,8 +39,7 @@ __all__ = [
 SCHEMA_VERSION = 4
 
 
-@dataclass(frozen=True)
-class LemmaSummary:
+class LemmaSummary(NamedTuple):
     """Outcome of the lemma suite for one graph (or why it was skipped)."""
 
     checked: bool
@@ -64,8 +61,7 @@ class LemmaSummary:
         }
 
 
-@dataclass(frozen=True)
-class GraphReport:
+class GraphReport(NamedTuple):
     """Solver results for one graph; ``ratio_ok`` is the exact integer
     comparison 4*nu <= 5*alpha2, and ``ratio``, ``ratio_ok`` and the
     reported ``nu_minus_alpha2`` are ``None`` unless the pair optima are
@@ -117,10 +113,11 @@ class GraphReport:
 
 
 def _ratio_str(nu: int, alpha2: int) -> str | None:
+    """``nu/alpha2`` in lowest terms, or ``None`` when alpha2 is 0."""
     if alpha2 == 0:
         return None
-    f = Fraction(nu, alpha2)
-    return f"{f.numerator}/{f.denominator}"
+    d = gcd(nu, alpha2)
+    return f"{nu // d}/{alpha2 // d}"
 
 
 def _edge_lists(edges: Iterable) -> list[list[int]]:
@@ -200,8 +197,7 @@ def verify_graph(g: Graph) -> list[tuple[CanonicalTriple, LemmaReport]]:
     return [(t, verify_lemmas(g, t)) for t in canonical_triples(g)]
 
 
-@dataclass(frozen=True)
-class CensusSummary:
+class CensusSummary(NamedTuple):
     """Aggregate of a census sweep; ``max_ratio`` is an exact reduced
     fraction and ``failures`` must stay empty for the bound to stand.
     ``max_ratio`` and ``gap_histogram`` cover certified rows only; the
@@ -288,13 +284,16 @@ def run_census(
     start = perf_counter()
     packed = [(src, g, node_budget, lemmas) for src, g in items]
     if jobs > 1 and len(packed) > 1:
+        import multiprocessing  # here, so that no serial run pays to load it
+
         chunk = max(1, len(packed) // (jobs * 8))
         with multiprocessing.Pool(jobs) as pool:
             reports = pool.map(_census_worker, packed, chunksize=chunk)
     else:
         reports = [_census_worker(p) for p in packed]
 
-    max_ratio = Fraction(0, 1)
+    # The largest nu/alpha2 as (nu, alpha2), compared by cross-multiplying.
+    top_nu, top_alpha2 = 0, 1
     max_source = ""
     histogram: dict[int, int] = {}
     failures: list[dict] = []
@@ -305,11 +304,9 @@ def run_census(
         if r.status == "budget_exceeded":
             budget += 1
             continue
-        if r.alpha2 > 0:
-            f = Fraction(r.nu, r.alpha2)
-            if f > max_ratio:
-                max_ratio = f
-                max_source = r.source
+        if r.alpha2 > 0 and r.nu * top_alpha2 > top_nu * r.alpha2:
+            top_nu, top_alpha2 = r.nu, r.alpha2
+            max_source = r.source
         histogram[r.gap] = histogram.get(r.gap, 0) + 1
         if r.lemmas.checked:
             lemma_checked += 1
@@ -317,7 +314,7 @@ def run_census(
     summary = CensusSummary(
         corpus=corpus,
         count=len(reports),
-        max_ratio=f"{max_ratio.numerator}/{max_ratio.denominator}",
+        max_ratio=_ratio_str(top_nu, top_alpha2),
         max_ratio_source=max_source,
         gap_histogram=histogram,
         failures=tuple(failures),

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Iterable, NamedTuple
 
 import pytest
 from hypothesis import strategies as st
 
-from twomatch import Graph
+from twomatch import Graph, edge, matching_violation
+from twomatch.matching import _find_path_from
 
 
 def petersen() -> Graph:
@@ -14,6 +16,55 @@ def petersen() -> Graph:
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     return Graph.from_edges(10, outer + inner + spokes)
+
+
+class AugmentingPath(NamedTuple):
+    """Odd-length alternating path between two unmatched vertices.
+
+    ``vertices`` is the walk (smaller endpoint first); ``matched_indices``
+    are the positions k for which (vertices[k], vertices[k+1]) is matched,
+    always (1, 3, 5, ...).
+    """
+
+    vertices: tuple[int, ...]
+    matched_indices: tuple[int, ...]
+
+    @property
+    def length(self) -> int:
+        return len(self.vertices) - 1
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [edge(a, b) for a, b in zip(self.vertices, self.vertices[1:])]
+
+
+def find_augmenting_path(g: Graph, matching: Iterable) -> AugmentingPath | None:
+    """An augmenting path for ``matching``, or ``None`` when it is maximum
+    (Berge), from the blossom search that ``max_matching`` runs.
+
+    Raises ``ValueError`` if the input is not a valid matching of ``g``.
+    """
+    matching = frozenset(matching)
+    reason = matching_violation(g, matching)
+    if reason is not None:
+        raise ValueError(f"invalid matching: {reason}")
+    adj = g.adjacency()
+    match = [-1] * g.n
+    for u, v in matching:
+        match[u] = v
+        match[v] = u
+    for root in range(g.n):
+        if match[root] == -1 and adj[root]:
+            walk = _find_path_from(adj, match, root)
+            if walk is not None:
+                if walk[-1] < walk[0]:
+                    walk = walk[::-1]
+                return AugmentingPath(tuple(walk), tuple(range(1, len(walk) - 1, 2)))
+    return None
+
+
+def augment(matching: Iterable, path: AugmentingPath) -> frozenset:
+    """Flip the path's edges; the result is a matching one edge larger."""
+    return frozenset(matching).symmetric_difference(path.edges())
 
 
 @pytest.fixture(scope="session")

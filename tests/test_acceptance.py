@@ -15,7 +15,6 @@ from twomatch import (
     canonical_triples,
     encode_graph6,
     enumerate_graphs,
-    find_augmenting_path,
     gen_complete,
     gen_cycle,
     gen_gap_family,
@@ -30,7 +29,7 @@ from twomatch import (
     verify_lemmas,
 )
 
-from conftest import petersen
+from conftest import find_augmenting_path, petersen
 
 
 def _report(name: str, ok: bool, extra: str = "") -> None:

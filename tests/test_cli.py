@@ -22,6 +22,12 @@ from twomatch import (
 from twomatch.cli import main
 
 
+def cli_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -280,14 +286,12 @@ class TestCensus:
     def test_broken_pipe_exits_141_quietly(self):
         # Far more than a pipe buffer of CSV: the write after the reader
         # closes fails every time.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         argv = ["census", "--random", "7", "0.5", "3000", "--skip-lemmas", "--output", "csv"]
         proc = subprocess.Popen(
             [sys.executable, "-m", "twomatch", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=cli_env(),
         )
         assert proc.stdout.readline().startswith(b"source,")
         proc.stdout.close()
@@ -455,3 +459,37 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["census"])  # no corpus selected
     assert exc.value.code == 2
+
+
+class TestStartup:
+    """Every CLI call pays for what ``twomatch.cli`` imports."""
+
+    #: Modules the CLI must not load at start: record decorators and their
+    #: introspection, the process pool, and rational numbers.
+    HEAVY = {"dataclasses", "inspect", "multiprocessing", "fractions", "decimal"}
+
+    def loaded(self, code: str) -> set[str]:
+        script = f"import sys\n{code}\nprint(*sys.modules, sep='\\n')"
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=cli_env(), check=True
+        ).stdout
+        return set(out.split())
+
+    def test_import_loads_no_heavy_module(self):
+        added = self.loaded("import twomatch.cli") - self.loaded("")
+        assert "twomatch.cli" in added
+        assert not added & self.HEAVY, sorted(added & self.HEAVY)
+
+    def test_process_pool_matches_serial(self):
+        outputs = []
+        for jobs in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "twomatch", "census", "--exhaustive", "3", "--jobs", jobs, "--no-timings"],
+                capture_output=True,
+                text=True,
+                env=cli_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((proc.stdout, proc.stderr))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["count"] == 8

@@ -38,6 +38,21 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(3, frozenset({(-1, 2)}))
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ValueError):
+            Graph(-1, frozenset())
+
+    def test_edge_collection_becomes_a_frozenset(self):
+        for edges in ({(0, 1), (1, 2)}, [(1, 2), (0, 1)], iter([(0, 1), (1, 2)])):
+            g = Graph(3, edges)
+            assert type(g.edges) is frozenset
+            assert g == Graph(n=3, edges=frozenset({(0, 1), (1, 2)}))
+        with pytest.raises(ValueError):
+            Graph(3, {(0, 1), (2, 2)})
+
+    def test_repr_names_the_fields(self):
+        assert repr(Graph(2, {(0, 1)})) == "Graph(n=2, edges=frozenset({(0, 1)}))"
+
     def test_from_edges_canonicalizes(self):
         g = Graph.from_edges(4, [(3, 1), (0, 2)])
         assert g.edges == frozenset({(1, 3), (0, 2)})

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from twomatch import (
     BRUTEFORCE_MAX_EDGES,
     Graph,
-    augment,
     enumerate_graphs,
-    find_augmenting_path,
     gen_complete,
     gen_cycle,
     gen_gap_family,
@@ -24,7 +22,14 @@ from twomatch import (
     maximum_matchings,
 )
 
-from conftest import all_matchings_by_filtering, graph_with_matchings, graphs, petersen
+from conftest import (
+    all_matchings_by_filtering,
+    augment,
+    find_augmenting_path,
+    graph_with_matchings,
+    graphs,
+    petersen,
+)
 
 
 class TestIsMatching:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from twomatch import (
     PAIR_ORACLE_MAX_EDGES,
     Graph,
+    PairResult,
     analyze_graph,
     canonical_triple,
     canonical_triples,
@@ -138,6 +139,31 @@ class TestBruteforce:
     def test_ceiling(self):
         with pytest.raises(ValueError):
             solve_pair_bruteforce(gen_complete(6))  # 15 edges
+
+
+class TestPairResult:
+    H = frozenset({(0, 1), (2, 3)})
+    H_PRIME = frozenset({(1, 2)})
+
+    def test_defaults_and_repr(self):
+        r = PairResult(3, 2, self.H, self.H_PRIME, 2)
+        assert (r.status, r.nodes, r.route) == ("optimal", 0, "oracle")
+        assert repr(r) == (
+            "PairResult(lambda2=3, alpha2=2, h=frozenset({(0, 1), (2, 3)}), "
+            "h_prime=frozenset({(1, 2)}), nu=2, status='optimal', nodes=0, route='oracle')"
+        )
+        assert PairResult(3, 2, self.H, self.H_PRIME, 2, route="dp", nodes=7).route == "dp"
+
+    @pytest.mark.parametrize("lambda2,alpha2", [(3, 1), (2, 2), (4, 2)])
+    def test_size_mismatch_rejected(self, lambda2, alpha2):
+        with pytest.raises(ValueError, match="sizes disagree"):
+            PairResult(lambda2, alpha2, self.H, self.H_PRIME, 2)
+
+    def test_overlapping_sides_rejected(self):
+        with pytest.raises(ValueError, match="not edge-disjoint"):
+            PairResult(4, 2, self.H, frozenset({(0, 1), (1, 2)}), 2)
+        with pytest.raises(ValueError, match="not edge-disjoint"):
+            PairResult(lambda2=4, alpha2=2, h=self.H, h_prime=self.H, nu=2)
 
 
 class TestSolvePair:
