@@ -107,19 +107,6 @@ def _component(walk: list[int], side_of: dict[Edge, str]) -> AlternatingComponen
     return AlternatingComponent(kind, tuple(walk), edges, sides)
 
 
-def _decompose(a: frozenset[Edge], b: frozenset[Edge]) -> Decomposition:
-    """``decompose`` of two edge sets already known to be matchings."""
-    side_of = _difference(a, b)
-    comps = [_component(walk, side_of) for walk in _paths_and_cycles(side_of)]
-    comps.sort(key=lambda c: min(c.vertices))
-
-    cycles = tuple(c for c in comps if c.kind == "cycle")
-    evens = tuple(c for c in comps if c.kind == "even_path")
-    odds_a = tuple(c for c in comps if c.kind == "odd_path" and c.sides[0] == "A")
-    odds_b = tuple(c for c in comps if c.kind == "odd_path" and c.sides[0] == "B")
-    return Decomposition(a & b, cycles, evens, odds_a, odds_b)
-
-
 def decompose(g: Graph, a: Iterable[Edge], b: Iterable[Edge]) -> Decomposition:
     """Decompose two matchings of ``g`` into shared edges and alternating
     components, deterministically ordered by smallest component vertex.
@@ -134,7 +121,15 @@ def decompose(g: Graph, a: Iterable[Edge], b: Iterable[Edge]) -> Decomposition:
         reason = matching_violation(g, s)
         if reason is not None:
             raise ValueError(f"{name} matching invalid: {reason}")
-    return _decompose(a, b)
+    side_of = _difference(a, b)
+    comps = [_component(walk, side_of) for walk in _paths_and_cycles(side_of)]
+    comps.sort(key=lambda c: min(c.vertices))
+
+    cycles = tuple(c for c in comps if c.kind == "cycle")
+    evens = tuple(c for c in comps if c.kind == "even_path")
+    odds_a = tuple(c for c in comps if c.kind == "odd_path" and c.sides[0] == "A")
+    odds_b = tuple(c for c in comps if c.kind == "odd_path" and c.sides[0] == "B")
+    return Decomposition(a & b, cycles, evens, odds_a, odds_b)
 
 
 class Verdict(NamedTuple):
@@ -229,7 +224,7 @@ class TripleArtifacts(NamedTuple):
 def _triple_sets(
     g: Graph, t: CanonicalTriple
 ) -> tuple[frozenset[Edge], frozenset[Edge], frozenset[Edge]]:
-    """(m, h, h_prime) of ``t`` as frozensets, each checked once to be a
+    """(m, h, h_prime) of ``t`` as frozensets, each checked to be a
     matching of ``g``, and the two sides checked to be edge-disjoint."""
     m, h, hp = frozenset(t.m), frozenset(t.h), frozenset(t.h_prime)
     for name, s in (("m", m), ("h", h), ("h_prime", hp)):
@@ -244,7 +239,7 @@ def _triple_sets(
 def derive_artifacts(g: Graph, t: CanonicalTriple) -> TripleArtifacts:
     """Build the odd-path edge sets and launched-path family for ``t``."""
     m, h, hp = _triple_sets(g, t)
-    return _artifacts(h, hp, _decompose(m, h))
+    return _artifacts(h, hp, decompose(g, m, h))
 
 
 def _artifacts(
@@ -343,10 +338,10 @@ def verify_lemmas(g: Graph, t: CanonicalTriple) -> LemmaReport:
     nu = len(m)
     alpha = len(h)
     gap = nu - alpha
-    d_mh = _decompose(m, h)
+    d_mh = decompose(g, m, h)
     art = _artifacts(h, hp, d_mh)
-    d_hhp = _decompose(h, hp)
-    d_core = _decompose(art.m_a, hp)
+    d_hhp = decompose(g, h, hp)
+    d_core = decompose(g, art.m_a, hp)
 
     checks: dict[str, Verdict] = {}
 

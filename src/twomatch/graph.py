@@ -54,7 +54,8 @@ class Graph(_GraphFields):
     """Immutable simple undirected graph on vertices ``0 .. n-1``.
 
     A named tuple, so that importing the package loads no ``dataclasses``;
-    the checks run in ``__new__``, which ``_make`` and ``_replace`` skip.
+    the checks run in ``__new__``, and ``_make`` and ``_replace`` go
+    through it too.
     """
 
     __slots__ = ()
@@ -72,6 +73,10 @@ class Graph(_GraphFields):
             if u < 0 or v >= n:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         return super().__new__(cls, n, edges)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Graph":
+        return cls(*iterable)
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":

@@ -61,7 +61,7 @@ matching and counts the overlaps on bitmasks.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .graph import Edge, Graph, _paths_and_cycles
 from .matching import _edge_set, _matchings, max_matching, max_matching_bruteforce, maximum_matchings
@@ -114,8 +114,8 @@ class PairResult(_PairFields):
     ``route`` is how ``solve_pair`` got there, ``"caps"``, ``"dp"`` or
     ``"search"``, and ``nodes`` is what that route spent: none, table
     entries, or search nodes.  The exhaustive oracle's results read
-    ``"oracle"``.  The checks run in ``__new__``, which ``_make`` and
-    ``_replace`` skip.
+    ``"oracle"``.  The checks run in ``__new__``, and ``_make`` and
+    ``_replace`` go through it too.
     """
 
     __slots__ = ()
@@ -127,6 +127,10 @@ class PairResult(_PairFields):
         if self.h & self.h_prime:
             raise ValueError("witness sides are not edge-disjoint")
         return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "PairResult":
+        return cls(*iterable)
 
 
 class CanonicalTriple(NamedTuple):

@@ -63,8 +63,18 @@ def find_augmenting_path(g: Graph, matching: Iterable) -> AugmentingPath | None:
 
 
 def augment(matching: Iterable, path: AugmentingPath) -> frozenset:
-    """Flip the path's edges; the result is a matching one edge larger."""
-    return frozenset(matching).symmetric_difference(path.edges())
+    """Flip the path's edges; the result is a matching one edge larger.
+
+    Raises ``KeyError`` when an odd-position edge of the path is not in
+    ``matching``, so a path with the wrong parity cannot pass unnoticed.
+    """
+    result = set(matching)
+    for k, e in enumerate(path.edges()):
+        if k % 2 == 1:
+            result.remove(e)
+        else:
+            result.add(e)
+    return frozenset(result)
 
 
 @pytest.fixture(scope="session")

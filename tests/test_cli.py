@@ -223,10 +223,9 @@ class TestCensus:
         assert out1 == out2
 
     def test_jobs_match_serial(self, capsys):
-        _, serial, _ = run_cli(capsys, "census", "--exhaustive", "3", "--no-timings")
-        _, parallel, _ = run_cli(
-            capsys, "census", "--exhaustive", "3", "--jobs", "2", "--no-timings"
-        )
+        serial = run_cli(capsys, "census", "--exhaustive", "3", "--no-timings")
+        parallel = run_cli(capsys, "census", "--exhaustive", "3", "--jobs", "2", "--no-timings")
+        assert serial[0] == 0
         assert serial == parallel
 
     def test_family_gap(self, capsys):
@@ -479,17 +478,3 @@ class TestStartup:
         added = self.loaded("import twomatch.cli") - self.loaded("")
         assert "twomatch.cli" in added
         assert not added & self.HEAVY, sorted(added & self.HEAVY)
-
-    def test_process_pool_matches_serial(self):
-        outputs = []
-        for jobs in ("1", "2"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "twomatch", "census", "--exhaustive", "3", "--jobs", jobs, "--no-timings"],
-                capture_output=True,
-                text=True,
-                env=cli_env(),
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append((proc.stdout, proc.stderr))
-        assert outputs[0] == outputs[1]
-        assert json.loads(outputs[0][0])["count"] == 8

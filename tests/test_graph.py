@@ -53,6 +53,15 @@ class TestGraphType:
     def test_repr_names_the_fields(self):
         assert repr(Graph(2, {(0, 1)})) == "Graph(n=2, edges=frozenset({(0, 1)}))"
 
+    def test_make_and_replace_run_the_checks(self):
+        g = Graph(3, {(0, 1)})
+        assert g._replace(edges=[(1, 2)]) == Graph(3, frozenset({(1, 2)}))
+        assert type(Graph._make((3, [(0, 2)])).edges) is frozenset
+        with pytest.raises(ValueError, match="out of range"):
+            g._replace(n=1)
+        with pytest.raises(ValueError, match="canonical order"):
+            Graph._make((3, {(2, 0)}))
+
     def test_from_edges_canonicalizes(self):
         g = Graph.from_edges(4, [(3, 1), (0, 2)])
         assert g.edges == frozenset({(1, 3), (0, 2)})

@@ -23,6 +23,7 @@ from twomatch import (
 )
 
 from conftest import (
+    AugmentingPath,
     all_matchings_by_filtering,
     augment,
     find_augmenting_path,
@@ -81,7 +82,15 @@ class TestFindAugmentingPath:
         m = {(1, 2), (3, 4), (6, 7)}
         path = find_augmenting_path(c9, m)
         assert path is not None
-        assert is_matching(c9, augment(m, path))
+        bigger = augment(m, path)
+        assert is_matching(c9, bigger) and len(bigger) == len(m) + 1
+
+    def test_augment_rejects_a_path_of_the_wrong_parity(self):
+        # 0-1-2-3 with (0, 1) and (2, 3) matched: (1, 2) sits at an odd
+        # position but is not matched, so the path cannot augment.
+        path = AugmentingPath((0, 1, 2, 3), (1,))
+        with pytest.raises(KeyError):
+            augment({(0, 1), (2, 3)}, path)
 
 
 class TestMaxMatching:

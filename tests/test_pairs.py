@@ -165,6 +165,15 @@ class TestPairResult:
         with pytest.raises(ValueError, match="not edge-disjoint"):
             PairResult(lambda2=4, alpha2=2, h=self.H, h_prime=self.H, nu=2)
 
+    def test_make_and_replace_run_the_checks(self):
+        r = PairResult(3, 2, self.H, self.H_PRIME, 2)
+        assert r._replace(nodes=5).nodes == 5
+        assert PairResult._make(tuple(r)) == r
+        with pytest.raises(ValueError, match="sizes disagree"):
+            r._replace(alpha2=1)
+        with pytest.raises(ValueError, match="not edge-disjoint"):
+            PairResult._make((4, 2, self.H, self.H, 2, "optimal", 0, "oracle"))
+
 
 class TestSolvePair:
     def test_tight_family_known_values(self):
