@@ -34,8 +34,6 @@ __all__ = [
     "decompose",
     "check_property_1",
     "check_property_2",
-    "check_property_3",
-    "check_property_4",
     "derive_artifacts",
     "verify_lemmas",
     "LEMMA_CHECKS",
@@ -167,6 +165,8 @@ def check_property_2(a: Iterable[Edge], b: Iterable[Edge], d: Decomposition) -> 
 
 
 def _property_3(gap: int, d: Decomposition) -> Verdict:
+    """Against a maximum matching A no odd path starts on the other side,
+    and the size gap |A| - |B| equals the number of odd A-started paths."""
     if d.odd_paths_b:
         return Verdict(False, f"odd path starting opposite: {d.odd_paths_b[0].edges}")
     if gap != len(d.odd_paths_a):
@@ -174,29 +174,12 @@ def _property_3(gap: int, d: Decomposition) -> Verdict:
     return Verdict(True)
 
 
-def check_property_3(g: Graph, m: Iterable[Edge], h: Iterable[Edge]) -> Verdict:
-    """Against a maximum matching no odd path starts on the other side,
-    and the size gap equals the number of odd maximum-side paths.
-
-    Raises ``ValueError`` (a precondition violation, not a verdict) when
-    ``m`` is not maximum.
-    """
-    m, h = frozenset(m), frozenset(h)
-    if len(m) != len(max_matching(g)):
-        raise ValueError("first matching is not maximum")
-    return _property_3(len(m) - len(h), decompose(g, m, h))
-
-
 def _property_4(d: Decomposition) -> Verdict:
+    """For an optimal pair (A, B), no odd path starts from the smaller
+    side B.  Meaningful only when the pair attains both pair optima."""
     if d.odd_paths_b:
         return Verdict(False, f"odd path starting in the smaller side: {d.odd_paths_b[0].edges}")
     return Verdict(True)
-
-
-def check_property_4(g: Graph, h: Iterable[Edge], h_prime: Iterable[Edge]) -> Verdict:
-    """For an optimal pair, no odd path starts from the smaller side.
-    Meaningful only when (h, h_prime) attains both pair optima."""
-    return _property_4(decompose(g, h, h_prime))
 
 
 class TripleArtifacts(NamedTuple):

@@ -127,14 +127,19 @@ def _tight_base(k: int) -> Graph:
     return gen_complete(2) if k == 1 else gen_cycle(2 * k)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         if solver:
             p.add_argument(
                 "--node-budget",
-                type=int,
+                type=_int_at_least(0),
                 default=DEFAULT_NODE_BUDGET,
                 help="solver work budget per graph (search nodes or DP table entries)",
             )
@@ -358,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="index range for --family (default 2:4)",
     )
     p_census.add_argument("--seed", type=int, default=0, help="base seed for --random")
-    p_census.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
+    p_census.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel workers")
     add_common(p_census)
     p_census.add_argument("--output", choices=["json", "csv"], default="json")
     p_census.add_argument(

@@ -11,7 +11,7 @@ over edge subsets with non-adjacency pruning, used by the test suite to
 validate the augmenting-path code and never called by it; the pair
 oracle ``pairs.solve_pair_bruteforce`` is its only other caller.
 ``maximum_matchings``, ``pairs.enumerate_m2`` and the pair oracle list
-matchings through one private take-then-skip search, ``_matchings``,
+matchings through one private take-then-skip lister, ``_matchings``,
 which returns them as edge bitmasks.
 """
 
@@ -188,27 +188,21 @@ def max_matching_bruteforce(g: Graph) -> frozenset[Edge]:
     return frozenset(best)
 
 
-def _matchings(edges: list[Edge], size: int | None = None) -> list[int]:
-    """Every matching over ``edges`` (the empty one included), or only those
-    with exactly ``size`` edges, in take-then-skip depth-first order, each
-    as a bitmask with bit i set for ``edges[i]``."""
-    ends = [(1 << u) | (1 << v) for u, v in edges]
-    count = len(edges)
-    floor = size or 0
-    out: list[int] = []
+def _matchings(edges: list[Edge]) -> list[int]:
+    """Every matching over ``edges``, the empty one included, in
+    take-then-skip depth-first order, each as a bitmask with bit i set for
+    ``edges[i]``.
 
-    def search(i: int, used: int, chosen: int, taken: int) -> None:
-        if taken + (count - i) < floor:
-            return
-        if taken == size or i == count:
-            out.append(chosen)
-            return
-        if not used & ends[i]:
-            search(i + 1, used | ends[i], chosen | 1 << i, taken + 1)
-        search(i + 1, used, chosen, taken)
-
-    search(0, 0, 0, 0)
-    return out
+    The list is built from the last edge back, with no recursion: the
+    matchings over edges i, i+1, ... are those of the later list that miss
+    edge i's ends, each with edge i taken, followed by the later list."""
+    got = [(0, 0)]  # (matching, the vertices it covers)
+    for i in range(len(edges) - 1, -1, -1):
+        u, v = edges[i]
+        ends = (1 << u) | (1 << v)
+        bit = 1 << i
+        got = [(x | bit, used | ends) for x, used in got if not used & ends] + got
+    return [x for x, _ in got]
 
 
 def _edge_set(edges: list[Edge], mask: int) -> frozenset[Edge]:
@@ -222,9 +216,12 @@ def _edge_set(edges: list[Edge], mask: int) -> frozenset[Edge]:
 
 
 def maximum_matchings(g: Graph) -> list[frozenset[Edge]]:
-    """All maximum matchings of ``g``, for exhaustive triple searches.
+    """All maximum matchings of ``g``, for exhaustive triple searches, in
+    take-then-skip order over sorted edges; nu is the largest size listed.
 
     Exponential in general; callers enforce their own edge ceilings.
     """
     edges = sorted(g.edges)
-    return [_edge_set(edges, x) for x in _matchings(edges, len(max_matching(g)))]
+    listed = _matchings(edges)
+    nu = max(map(int.bit_count, listed))
+    return [_edge_set(edges, x) for x in listed if x.bit_count() == nu]

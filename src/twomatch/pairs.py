@@ -50,12 +50,13 @@ program or the branch and bound.  The package never calls it; the tests
 compare against it.
 
 The triple search runs no oracle and no ``solve_pair``.  ``enumerate_m2``
-lists the matchings once as edge bitmasks and scores each H by the
-matching number of the graph minus H's edges, from a recursion over edge
-subsets memoized for the call; each H of size alpha2 whose score is
-lambda2 - alpha2 is followed by every matching of that size disjoint
-from it.  ``canonical_triples`` meets each such pair with every maximum
-matching and counts the overlaps on bitmasks.
+lists the matchings once as edge bitmasks, with no recursion, and scores
+each H by the matching number of the graph minus H's edges: the size of
+H's largest disjoint partner in that list.  Each H of size alpha2 whose
+score is lambda2 - alpha2 is followed by every matching of that size
+disjoint from it.  ``canonical_triples`` meets each such pair with the
+maximum matchings, counts the overlaps on bitmasks and emits the triples
+already in order.
 """
 
 from __future__ import annotations
@@ -431,8 +432,11 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
     counting table entries); past that width, branch and bound does
     (route ``"search"``, ``nodes`` counting search nodes).  Either route
     stops once ``nodes`` passes ``node_budget`` and reports the
-    incumbent as ``budget_exceeded``.
+    incumbent as ``budget_exceeded``; a budget of 0 allows the caps only,
+    and a negative one raises ``ValueError``.
     """
+    if node_budget < 0:
+        raise ValueError(f"node budget must be at least 0, got {node_budget}")
     deg = [0] * g.n
     for u, v in g.edges:
         deg[u] += 1
@@ -524,36 +528,26 @@ def enumerate_m2(g: Graph) -> Iterator[tuple[frozenset[Edge], frozenset[Edge]]]:
     first side equal to the largest attainable side, each exactly once.
 
     The matchings H of ``g`` are listed once, as bitmasks over the sorted
-    edges, in take-then-skip order, and each is scored by nu of the graph
-    without H's edges: nu(S) = max(nu(S - e), 1 + nu(S - N[e])) over edge
-    sets S, where e is the lowest edge of S and N[e] is e with the edges
-    that share an endpoint with it, memoized for the call.  That scan
-    gives lambda2 and alpha2.  H then runs over the matchings of size
-    alpha2 whose removal leaves matching number lambda2 - alpha2, in scan
-    order, and for each H the second side runs over the maximum matchings
-    of the graph without H's edges, in take-then-skip order over sorted
+    edges, in take-then-skip order.  Every matching of the graph without
+    H's edges is in that list, so nu of that graph is the size of H's
+    largest disjoint partner: the first one met in the list taken from the
+    largest size down.  That scan gives lambda2 and alpha2.  H then runs
+    over the matchings of size alpha2 whose largest partner has size
+    lambda2 - alpha2, in scan order, and for each H the second side runs
+    over the partners of that size, in take-then-skip order over sorted
     edges.
     """
     if g.m > PAIR_ORACLE_MAX_EDGES:
         raise ValueError(f"enumeration ceiling is {PAIR_ORACLE_MAX_EDGES} edges")
     edges = sorted(g.edges)
-    at = [0] * g.n  # the edges at each vertex
-    for i, (u, v) in enumerate(edges):
-        at[u] |= 1 << i
-        at[v] |= 1 << i
-    closed = [at[u] | at[v] for u, v in edges]
-    memo = {0: 0}
-
-    def nu(s: int) -> int:
-        got = memo.get(s)
-        if got is None:
-            low = s & -s
-            got = max(nu(s ^ low), 1 + nu(s & ~closed[low.bit_length() - 1]))
-            memo[s] = got
-        return got
-
-    full = (1 << len(edges)) - 1
-    scan = [(h, h.bit_count(), nu(full ^ h)) for h in _matchings(edges)]
+    listed = _matchings(edges)
+    largest_first = sorted(listed, key=int.bit_count, reverse=True)
+    scan = []
+    for h in listed:
+        for partner in largest_first:
+            if not partner & h:
+                break
+        scan.append((h, h.bit_count(), partner.bit_count()))
     lambda2 = max(size + rest for _, size, rest in scan)
     # A best partner of an optimal H is itself an optimal H, so the
     # largest side shows up as some |H|.
@@ -561,46 +555,66 @@ def enumerate_m2(g: Graph) -> Iterator[tuple[frozenset[Edge], frozenset[Edge]]]:
     beta = lambda2 - alpha2
     # The scan lists the partners too, and in the order that a search over
     # the edges outside H alone would.
-    partners = [h for h, size, _ in scan if size == beta]
+    partners = [x for x in listed if x.bit_count() == beta]
+    sets: dict[int, frozenset[Edge]] = {}  # each mask becomes a set once
+
+    def edge_set(x: int) -> frozenset[Edge]:
+        got = sets.get(x)
+        if got is None:
+            got = sets[x] = _edge_set(edges, x)
+        return got
+
     for h, size, rest in scan:
         if size == alpha2 and rest == beta:
-            side = _edge_set(edges, h)
-            for hp in partners:
-                if not hp & h:
-                    yield side, _edge_set(edges, hp)
+            side = edge_set(h)
+            for x in partners:
+                if not x & h:
+                    yield side, edge_set(x)
 
 
 def canonical_triples(g: Graph) -> list[CanonicalTriple]:
     """All triples attaining the lexicographic maximum of
     (|m & h|, |m & h_prime|) over optimal pairs and maximum matchings.
 
-    Every optimal pair from ``enumerate_m2`` meets every matching from
-    ``maximum_matchings``; overlaps are counted on edge bitmasks.  Sorted
-    by (h, h_prime, m) as sorted edge tuples, so the first entry is the
-    canonical representative.
+    Every optimal pair from ``enumerate_m2`` meets the matchings from
+    ``maximum_matchings`` on edge bitmasks; per H, only the maximum
+    matchings with the largest |m & h| are scored against h_prime.  The
+    pairs come H first, then h_prime, and the matchings in take-then-skip
+    order over sorted edges, which for sets of one size is lexicographic
+    order of their sorted edges.  So the triples come out sorted by (h,
+    h_prime, m) as sorted edge tuples, with no sort afterwards, and the
+    first is the canonical representative.
     """
     if g.m > PAIR_ORACLE_MAX_EDGES:
         raise ValueError(f"triple-search ceiling is {PAIR_ORACLE_MAX_EDGES} edges")
     pairs = list(enumerate_m2(g))
     matchings = maximum_matchings(g)
     bit = {e: 1 << i for i, e in enumerate(sorted(g.edges))}
-    masks = [sum(map(bit.__getitem__, m)) for m in matchings]
-    # The key (|m & h|, |m & h_prime|) packed into one integer; a side of
-    # a pair has at most 14 edges, so 4 bits hold the second count.
-    best = -1
+    # Each distinct side is mapped to its mask once; enumerate_m2 hands
+    # out one set per H and one per partner.
+    masks = {s: sum(map(bit.__getitem__, s)) for s in {s for pair in pairs for s in pair}}
+    ms = [(sum(map(bit.__getitem__, m)), m) for m in matchings]
+    best = (-1, -1)
     found: list[CanonicalTriple] = []
+    last = -1
     for h, hp in pairs:
-        a = sum(map(bit.__getitem__, h))
-        b = sum(map(bit.__getitem__, hp))
-        keys = [(x & a).bit_count() << 4 | (x & b).bit_count() for x in masks]
-        top = max(keys)
-        if top < best:
+        a = masks[h]
+        if a != last:  # a new H: keep the matchings that meet it most
+            last = a
+            keys = [(x & a).bit_count() for x, _ in ms]
+            top = max(keys)
+            closest = [xm for xm, key in zip(ms, keys) if key == top]
+        if top < best[0]:
             continue
-        if top > best:
-            best = top
+        b = masks[hp]
+        keys = [(x & b).bit_count() for x, _ in closest]
+        key = (top, max(keys))
+        if key < best:
+            continue
+        if key > best:
+            best = key
             found = []
-        found += [CanonicalTriple(h, hp, m) for m, key in zip(matchings, keys) if key == top]
-    found.sort(key=lambda t: (sorted(t.h), sorted(t.h_prime), sorted(t.m)))
+        found += [CanonicalTriple(h, hp, m) for (_, m), k in zip(closest, keys) if k == key[1]]
     return found
 
 

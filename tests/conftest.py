@@ -7,7 +7,8 @@ from typing import Iterable, NamedTuple
 import pytest
 from hypothesis import strategies as st
 
-from twomatch import Graph, edge, matching_violation
+from twomatch import Graph, Verdict, decompose, edge, matching_violation, max_matching
+from twomatch.alternating import _property_3, _property_4
 from twomatch.matching import _find_path_from
 
 
@@ -75,6 +76,48 @@ def augment(matching: Iterable, path: AugmentingPath) -> frozenset:
         else:
             result.add(e)
     return frozenset(result)
+
+
+def matchings_by_recursion(edges: list, size: int | None = None) -> list[int]:
+    """Every matching over ``edges`` (the empty one included), or only those
+    with exactly ``size`` edges, as bitmasks with bit i set for
+    ``edges[i]``, from a recursive take-then-skip search: the order
+    reference for ``matching._matchings``."""
+    ends = [(1 << u) | (1 << v) for u, v in edges]
+    count = len(edges)
+    floor = size or 0
+    out: list[int] = []
+
+    def search(i: int, used: int, chosen: int, taken: int) -> None:
+        if taken + (count - i) < floor:
+            return
+        if taken == size or i == count:
+            out.append(chosen)
+            return
+        if not used & ends[i]:
+            search(i + 1, used | ends[i], chosen | 1 << i, taken + 1)
+        search(i + 1, used, chosen, taken)
+
+    search(0, 0, 0, 0)
+    return out
+
+
+def check_property_3(g: Graph, m: Iterable, h: Iterable) -> Verdict:
+    """Property 3 of the lemma suite for a maximum matching ``m`` against
+    ``h``, decomposed here.
+
+    Raises ``ValueError`` (a precondition violation, not a verdict) when
+    ``m`` is not maximum.
+    """
+    m, h = frozenset(m), frozenset(h)
+    if len(m) != len(max_matching(g)):
+        raise ValueError("first matching is not maximum")
+    return _property_3(len(m) - len(h), decompose(g, m, h))
+
+
+def check_property_4(g: Graph, h: Iterable, h_prime: Iterable) -> Verdict:
+    """Property 4 of the lemma suite for an optimal pair, decomposed here."""
+    return _property_4(decompose(g, h, h_prime))
 
 
 @pytest.fixture(scope="session")

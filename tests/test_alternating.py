@@ -11,8 +11,6 @@ from twomatch import (
     canonical_triples,
     check_property_1,
     check_property_2,
-    check_property_3,
-    check_property_4,
     decompose,
     derive_artifacts,
     enumerate_graphs,
@@ -27,7 +25,7 @@ from twomatch import (
     verify_lemmas,
 )
 
-from conftest import graph_with_matchings, greedy_matching
+from conftest import check_property_3, check_property_4, graph_with_matchings, greedy_matching
 
 
 class TestDecompose:

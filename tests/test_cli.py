@@ -180,6 +180,25 @@ class TestSolve:
         assert code == 3
         assert json.loads(out)["certified_by"] is None
 
+    def test_negative_node_budget_is_a_usage_error(self, capsys, tmp_path):
+        # Even the caps' zero nodes pass a budget of -1, so a graph the caps
+        # certify would read budget_exceeded.  A budget of 0 stays valid:
+        # the root caps only.
+        _, text, _ = run_cli(capsys, "generate", "gap", "10")
+        path = tmp_path / "gap10.txt"
+        path.write_text(text)
+        for argv in (["solve", str(path)], ["census", "--exhaustive", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--node-budget", "-1", "--no-timings"])
+            assert exc.value.code == 2
+            assert "--node-budget" in capsys.readouterr().err
+        code, out, _ = run_cli(
+            capsys, "solve", str(path), "--node-budget", "0", "--skip-lemmas", "--no-timings"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["status"], doc["certified_by"], doc["solver_nodes"]) == ("ok", "caps", 0)
+
     def test_csv_output(self, capsys, tight_k2_file):
         code, out, _ = run_cli(
             capsys, "solve", tight_k2_file, "--output", "csv", "--no-timings"

@@ -21,6 +21,7 @@ from twomatch import (
     max_matching_bruteforce,
     maximum_matchings,
 )
+from twomatch.matching import _edge_set, _matchings
 
 from conftest import (
     AugmentingPath,
@@ -29,6 +30,7 @@ from conftest import (
     find_augmenting_path,
     graph_with_matchings,
     graphs,
+    matchings_by_recursion,
     petersen,
 )
 
@@ -174,6 +176,21 @@ class TestMaximumMatchings:
             assert len(set(ms)) == len(ms)
             assert all(len(m) == nu and is_matching(g, m) for m in ms)
             assert set(ms) == {m for m in all_matchings_by_filtering(g) if len(m) == nu}
+
+
+    def test_order_matches_the_recursive_reference(self):
+        # The lister builds from the last edge back; the reference recurses
+        # take-then-skip.  Every graph with n <= 5 and the seeded corpora.
+        corpus = [g for n in range(6) for g in enumerate_graphs(n)]
+        corpus += [gen_random(5 + i % 4, 0.5, 4_000 + i) for i in range(40)]
+        corpus += [gen_random(6, 0.4, 6_000 + i) for i in range(25)]
+        corpus += [gen_random(6, 0.5, 7_000 + i) for i in range(15)]
+        for g in corpus:
+            edges = sorted(g.edges)
+            assert _matchings(edges) == matchings_by_recursion(edges)
+            nu = len(max_matching(g))
+            expect = [_edge_set(edges, x) for x in matchings_by_recursion(edges, nu)]
+            assert maximum_matchings(g) == expect
 
 
 @settings(max_examples=150, deadline=None)

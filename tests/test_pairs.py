@@ -205,6 +205,12 @@ class TestSolvePair:
         # best-known values are still a valid (uncertified) pair
         assert len(r.h) + len(r.h_prime) == r.lambda2
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            solve_pair(gen_gap_family(10), node_budget=-1)
+        r = solve_pair(gen_gap_family(10), node_budget=0)
+        assert (r.status, r.route, r.nodes) == ("optimal", "caps", 0)
+
     def test_oracle_equivalence_exhaustive_n5(self):
         for g in graphs_up_to(5):
             rb = solve_pair_bruteforce(g)
@@ -360,6 +366,14 @@ def small_graphs():
         yield from enumerate_graphs(n)
 
 
+def random_corpus():
+    """The seeded G(6, p) graphs of the enumeration and triple tests that
+    fit the triple-search ceiling."""
+    corpus = [gen_random(6, 0.4, 6_000 + i) for i in range(25)]
+    corpus += [gen_random(6, 0.5, 7_000 + i) for i in range(15)]
+    return [g for g in corpus if g.m <= PAIR_ORACLE_MAX_EDGES]
+
+
 class TestEnumerateM2:
     def test_single_edge(self):
         assert list(enumerate_m2(gen_complete(2))) == [
@@ -420,10 +434,7 @@ class TestEnumerateM2:
         assert got == [(sides[i // 2], hp) for i, hp in enumerate(partners)]
 
     def test_matches_filter_oracle_random(self):
-        corpus = [gen_random(6, 0.4, 6_000 + i) for i in range(25)] + [*tight_and_pendant()]
-        for g in corpus:
-            if g.m > PAIR_ORACLE_MAX_EDGES:
-                continue
+        for g in [*random_corpus(), *tight_and_pendant()]:
             _, _, expect = pair_optima_by_filtering(g)
             assert set(enumerate_m2(g)) == expect
 
@@ -458,6 +469,13 @@ class TestCanonicalTriple:
                 for m in maximum_matchings(g)
             )
             assert (len(t.m & t.h), len(t.m & t.h_prime)) == best
+
+    def test_emitted_in_sorted_order(self):
+        # The search emits H, then H', then M in take-then-skip order and
+        # never sorts; for sets of one size that order is lexicographic.
+        for g in [*small_graphs(), *random_corpus(), *tight_and_pendant()]:
+            ts = canonical_triples(g)
+            assert ts == sorted(ts, key=lambda t: (sorted(t.h), sorted(t.h_prime), sorted(t.m)))
 
     def test_all_triples_share_key(self):
         g = gen_gap_family(3)
