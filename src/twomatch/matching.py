@@ -10,9 +10,11 @@ Berge's theorem the absence of an augmenting path certifies maximality;
 over edge subsets with non-adjacency pruning, used by the test suite to
 validate the augmenting-path code and never called by it; the pair
 oracle ``pairs.solve_pair_bruteforce`` is its only other caller.
-``maximum_matchings``, ``pairs.enumerate_m2`` and the pair oracle list
-matchings through one private take-then-skip lister, ``_matchings``,
-which returns them as edge bitmasks.
+Every listing of matchings goes through one private take-then-skip
+lister, ``_matchings``, which returns them as edge bitmasks: in
+``maximum_matchings``, in the pair oracle, and in the triple search of
+``pairs``, which lists once per graph and takes both its optimal pairs
+and its maximum matchings from that one list.
 """
 
 from __future__ import annotations
@@ -216,8 +218,9 @@ def _edge_set(edges: list[Edge], mask: int) -> frozenset[Edge]:
 
 
 def maximum_matchings(g: Graph) -> list[frozenset[Edge]]:
-    """All maximum matchings of ``g``, for exhaustive triple searches, in
-    take-then-skip order over sorted edges; nu is the largest size listed.
+    """All maximum matchings of ``g``, in take-then-skip order over sorted
+    edges; nu is the largest size listed.  The triple search takes the
+    same matchings from its own list.
 
     Exponential in general; callers enforce their own edge ceilings.
     """

@@ -49,14 +49,17 @@ matching of the graph minus H's edges, sharing no code with the dynamic
 program or the branch and bound.  The package never calls it; the tests
 compare against it.
 
-The triple search runs no oracle and no ``solve_pair``.  ``enumerate_m2``
-lists the matchings once as edge bitmasks, with no recursion, and scores
-each H by the matching number of the graph minus H's edges: the size of
-H's largest disjoint partner in that list.  Each H of size alpha2 whose
+The triple search runs no oracle and no ``solve_pair``.
+``canonical_triples`` lists the matchings once per graph as edge
+bitmasks, with no recursion.  ``_optimal_pairs`` scores each H in that
+list by the matching number of the graph minus H's edges: the size of
+H's largest disjoint partner in the list.  Each H of size alpha2 whose
 score is lambda2 - alpha2 is followed by every matching of that size
-disjoint from it.  ``canonical_triples`` meets each such pair with the
-maximum matchings, counts the overlaps on bitmasks and emits the triples
-already in order.
+disjoint from it.  The maximum matchings are the largest masks of the
+same list; ``canonical_triples`` meets each pair with them, counts the
+overlaps on bitmasks, emits the triples already in order and turns only
+their masks into edge sets.  ``enumerate_m2`` yields the same pairs as
+edge sets.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ import heapq
 from typing import Iterable, Iterator, NamedTuple
 
 from .graph import Edge, Graph, _paths_and_cycles
-from .matching import _edge_set, _matchings, max_matching, max_matching_bruteforce, maximum_matchings
+from .matching import _edge_set, _matchings, max_matching, max_matching_bruteforce
 
 __all__ = [
     "PairResult",
@@ -223,10 +226,7 @@ def _frontier_order(g: Graph, deg: list[int], cap: int) -> list[tuple[Edge, tupl
     added.  Each step of the program is an edge, decided when its second
     endpoint arrives, with the endpoints whose last edge it is.
     """
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = g.adjacency()
     left = deg[:]  # neighbors not yet added
     last = [0] * g.n  # added neighbors whose only neighbor left is this vertex
     added = [False] * g.n
@@ -351,12 +351,10 @@ def _branch_and_bound(
     nodes = 0
     color = [0] * count  # side (1 or 2) or 0 (unused) of each decided edge
 
-    def search(
-        need_total: int, need_side: int, side_goal: bool
-    ) -> tuple[frozenset[Edge], frozenset[Edge]] | None:
+    def search(need_total: int, need_side: int) -> tuple[frozenset[Edge], frozenset[Edge]] | None:
         """The last pair found with total >= ``need_total`` and larger side
-        >= ``need_side``, or None; ``side_goal`` picks the goal each leaf
-        raises."""
+        >= ``need_side``, or None; each leaf raises the side goal when it
+        is set, the total goal otherwise."""
         nonlocal nodes
         found = None
         # A node at depth i has decided edges 0..i-1; it carries the color
@@ -384,7 +382,7 @@ def _branch_and_bound(
                     frozenset(e for e, side in zip(edges, color) if side == 1),
                     frozenset(e for e, side in zip(edges, color) if side == 2),
                 )
-                if side_goal:
+                if need_side:
                     need_side = max(c1, c2) + 1
                     if need_side > nu:
                         break
@@ -408,10 +406,10 @@ def _branch_and_bound(
     # optimum, raise the larger side.
     total = len(best_pair[0]) + len(best_pair[1])
     if total < total_cap:
-        best_pair = search(total + 1, 0, False) or best_pair
+        best_pair = search(total + 1, 0) or best_pair
     best_side = max(len(best_pair[0]), len(best_pair[1]))
     if nodes <= node_budget and best_side < nu:
-        best_pair = search(len(best_pair[0]) + len(best_pair[1]), best_side + 1, True) or best_pair
+        best_pair = search(len(best_pair[0]) + len(best_pair[1]), best_side + 1) or best_pair
     return best_pair, nodes
 
 
@@ -523,24 +521,18 @@ def solve_pair_bruteforce(g: Graph) -> PairResult:
     return _best_pair(_scan(g))
 
 
-def enumerate_m2(g: Graph) -> Iterator[tuple[frozenset[Edge], frozenset[Edge]]]:
-    """Yield every ordered optimal pair: total equal to the best total and
-    first side equal to the largest attainable side, each exactly once.
+def _optimal_pairs(listed: list[int]) -> Iterator[tuple[int, int]]:
+    """Every ordered optimal pair, as bitmasks, from the matchings of
+    ``_matchings`` over the sorted edges.
 
-    The matchings H of ``g`` are listed once, as bitmasks over the sorted
-    edges, in take-then-skip order.  Every matching of the graph without
-    H's edges is in that list, so nu of that graph is the size of H's
-    largest disjoint partner: the first one met in the list taken from the
-    largest size down.  That scan gives lambda2 and alpha2.  H then runs
-    over the matchings of size alpha2 whose largest partner has size
-    lambda2 - alpha2, in scan order, and for each H the second side runs
-    over the partners of that size, in take-then-skip order over sorted
-    edges.
+    Every matching of the graph without H's edges is in that list, so nu
+    of that graph is the size of H's largest disjoint partner: the first
+    one met in the list taken from the largest size down.  That scan
+    gives lambda2 and alpha2.  H then runs over the matchings of size
+    alpha2 whose largest partner has size lambda2 - alpha2, in scan
+    order, and for each H the second side runs over the partners of that
+    size, in list order.
     """
-    if g.m > PAIR_ORACLE_MAX_EDGES:
-        raise ValueError(f"enumeration ceiling is {PAIR_ORACLE_MAX_EDGES} edges")
-    edges = sorted(g.edges)
-    listed = _matchings(edges)
     largest_first = sorted(listed, key=int.bit_count, reverse=True)
     scan = []
     for h in listed:
@@ -556,66 +548,70 @@ def enumerate_m2(g: Graph) -> Iterator[tuple[frozenset[Edge], frozenset[Edge]]]:
     # The scan lists the partners too, and in the order that a search over
     # the edges outside H alone would.
     partners = [x for x in listed if x.bit_count() == beta]
-    sets: dict[int, frozenset[Edge]] = {}  # each mask becomes a set once
-
-    def edge_set(x: int) -> frozenset[Edge]:
-        got = sets.get(x)
-        if got is None:
-            got = sets[x] = _edge_set(edges, x)
-        return got
-
     for h, size, rest in scan:
         if size == alpha2 and rest == beta:
-            side = edge_set(h)
             for x in partners:
                 if not x & h:
-                    yield side, edge_set(x)
+                    yield h, x
+
+
+def enumerate_m2(g: Graph) -> Iterator[tuple[frozenset[Edge], frozenset[Edge]]]:
+    """Yield every ordered optimal pair: total equal to the best total and
+    first side equal to the largest attainable side, each exactly once.
+
+    The pairs are those of ``_optimal_pairs`` over the matchings listed
+    once in take-then-skip order over sorted edges: H in scan order, and
+    for each H the second side in that order.
+    """
+    if g.m > PAIR_ORACLE_MAX_EDGES:
+        raise ValueError(f"enumeration ceiling is {PAIR_ORACLE_MAX_EDGES} edges")
+    edges = sorted(g.edges)
+    for h, x in _optimal_pairs(_matchings(edges)):
+        yield _edge_set(edges, h), _edge_set(edges, x)
 
 
 def canonical_triples(g: Graph) -> list[CanonicalTriple]:
     """All triples attaining the lexicographic maximum of
     (|m & h|, |m & h_prime|) over optimal pairs and maximum matchings.
 
-    Every optimal pair from ``enumerate_m2`` meets the matchings from
-    ``maximum_matchings`` on edge bitmasks; per H, only the maximum
-    matchings with the largest |m & h| are scored against h_prime.  The
-    pairs come H first, then h_prime, and the matchings in take-then-skip
-    order over sorted edges, which for sets of one size is lexicographic
-    order of their sorted edges.  So the triples come out sorted by (h,
-    h_prime, m) as sorted edge tuples, with no sort afterwards, and the
-    first is the canonical representative.
+    The matchings are listed once, as edge bitmasks; the optimal pairs of
+    ``_optimal_pairs`` and the maximum matchings, those of largest size,
+    both come from that list.  Per H, only the maximum matchings with the
+    largest |m & h| are scored against h_prime.  The pairs come H first,
+    then h_prime, and the matchings in take-then-skip order over sorted
+    edges, which for sets of one size is lexicographic order of their
+    sorted edges.  So the triples come out sorted by (h, h_prime, m) as
+    sorted edge tuples, with no sort afterwards, and the first is the
+    canonical representative.  Only the masks of the triples returned
+    become edge sets, each distinct mask once.
     """
     if g.m > PAIR_ORACLE_MAX_EDGES:
-        raise ValueError(f"triple-search ceiling is {PAIR_ORACLE_MAX_EDGES} edges")
-    pairs = list(enumerate_m2(g))
-    matchings = maximum_matchings(g)
-    bit = {e: 1 << i for i, e in enumerate(sorted(g.edges))}
-    # Each distinct side is mapped to its mask once; enumerate_m2 hands
-    # out one set per H and one per partner.
-    masks = {s: sum(map(bit.__getitem__, s)) for s in {s for pair in pairs for s in pair}}
-    ms = [(sum(map(bit.__getitem__, m)), m) for m in matchings]
+        raise ValueError(f"graph has {g.m} edges, over the triple-search ceiling of {PAIR_ORACLE_MAX_EDGES}")
+    edges = sorted(g.edges)
+    listed = _matchings(edges)
+    nu = max(map(int.bit_count, listed))
+    ms = [x for x in listed if x.bit_count() == nu]
     best = (-1, -1)
-    found: list[CanonicalTriple] = []
+    found: list[tuple[int, int, int]] = []
     last = -1
-    for h, hp in pairs:
-        a = masks[h]
+    for a, b in _optimal_pairs(listed):
         if a != last:  # a new H: keep the matchings that meet it most
             last = a
-            keys = [(x & a).bit_count() for x, _ in ms]
+            keys = [(x & a).bit_count() for x in ms]
             top = max(keys)
-            closest = [xm for xm, key in zip(ms, keys) if key == top]
+            closest = [x for x, key in zip(ms, keys) if key == top]
         if top < best[0]:
             continue
-        b = masks[hp]
-        keys = [(x & b).bit_count() for x, _ in closest]
+        keys = [(x & b).bit_count() for x in closest]
         key = (top, max(keys))
         if key < best:
             continue
         if key > best:
             best = key
             found = []
-        found += [CanonicalTriple(h, hp, m) for (_, m), k in zip(closest, keys) if k == key[1]]
-    return found
+        found += [(a, b, x) for x, k in zip(closest, keys) if k == key[1]]
+    sets = {x: _edge_set(edges, x) for triple in found for x in triple}
+    return [CanonicalTriple(sets[a], sets[b], sets[x]) for a, b, x in found]
 
 
 def canonical_triple(g: Graph) -> CanonicalTriple:

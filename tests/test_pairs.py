@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from twomatch import (
     PAIR_ORACLE_MAX_EDGES,
+    CanonicalTriple,
     Graph,
     PairResult,
     analyze_graph,
@@ -25,7 +26,7 @@ from twomatch import (
     solve_pair_bruteforce,
 )
 
-from twomatch import pairs
+from twomatch import matching, pairs
 from twomatch.pairs import _frontier_dp, _frontier_order, _max_2_matching, _pair_from_2_matching
 
 from conftest import all_matchings_by_filtering, graphs
@@ -366,6 +367,18 @@ def small_graphs():
         yield from enumerate_graphs(n)
 
 
+def triples_by_reference(g: Graph) -> list[CanonicalTriple]:
+    """The maximizing triples from the public ``enumerate_m2`` and
+    ``maximum_matchings``, scored by (|M & H|, |M & H'|): pairs in their
+    order, then M in its order."""
+    ms = maximum_matchings(g)
+    scored = [
+        ((len(m & h), len(m & hp)), CanonicalTriple(h, hp, m)) for h, hp in enumerate_m2(g) for m in ms
+    ]
+    best = max(key for key, _ in scored)
+    return [t for key, t in scored if key == best]
+
+
 def random_corpus():
     """The seeded G(6, p) graphs of the enumeration and triple tests that
     fit the triple-search ceiling."""
@@ -490,6 +503,42 @@ class TestCanonicalTriple:
     def test_ceiling(self):
         with pytest.raises(ValueError):
             canonical_triple(gen_tight_family(gen_cycle(4)))  # 20 edges
+
+    def test_equals_the_reference_in_order(self):
+        for g in [*small_graphs(), *random_corpus(), *tight_and_pendant()]:
+            assert canonical_triples(g) == triples_by_reference(g)
+
+    def test_scoring_equals_the_reference_on_other_pairs(self, monkeypatch):
+        # On optimal pairs the best M has been unique per pair on every
+        # graph tried, so the order of tied M shows only on other pair
+        # lists: the empty pair ties every M, and among the single-edge
+        # pairs the M that meet H can miss H'.
+        def empty_pair(listed):
+            return [(0, 0)]
+
+        def single_edge_pairs(listed):
+            ones = [x for x in listed if x.bit_count() == 1]
+            return [(x, y) for x in ones for y in ones if x != y]
+
+        for pair_list in (empty_pair, single_edge_pairs):
+            monkeypatch.setattr(pairs, "_optimal_pairs", pair_list)
+            for g in [*random_corpus(), *tight_and_pendant()]:
+                assert canonical_triples(g) == triples_by_reference(g)
+
+    def test_lists_the_matchings_once(self, monkeypatch):
+        listing = matching._matchings
+        calls = []
+
+        def counted(edges):
+            calls.append(len(edges))
+            return listing(edges)
+
+        monkeypatch.setattr(matching, "_matchings", counted)
+        monkeypatch.setattr(pairs, "_matchings", counted)
+        for g in [*tight_and_pendant(), gen_gap_family(3), gen_random(7, 0.4, 321)]:
+            calls.clear()
+            canonical_triples(g)
+            assert calls == [g.m]
 
 
 def test_oracle_is_off_the_production_path(monkeypatch):
