@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 from twomatch import (
+    AlternatingComponent,
     CanonicalTriple,
+    Decomposition,
     Graph,
     LEMMA_CHECKS,
     canonical_triple,
@@ -25,6 +27,7 @@ from twomatch import (
     verify_lemmas,
 )
 
+from twomatch.alternating import _property_3
 from conftest import check_property_3, check_property_4, graph_with_matchings, greedy_matching
 
 
@@ -281,3 +284,106 @@ class TestVerifyLemmas:
             assert rep.ok, (g, rep.failures())
             checked += 1
         assert checked >= 40
+
+
+K2 = [(0, 1)]
+P3 = [(0, 1), (1, 2)]
+C4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+
+#: (edges, m, h, h_prime, check, detail): a triple with a maximum matching
+#: m and edge-disjoint sides on which ``check`` fails, saying why.
+FAILING_CHECKS = [
+    (K2, K2, [], K2, "p4_optimal_pair_paths", "odd path starting in the smaller side: ((0, 1),)"),
+    (P3, [(0, 1)], [(1, 2)], [], "l1_only_odd_m_paths", "even path ((0, 1), (1, 2))"),
+    (C4, [(0, 3), (1, 2)], [(0, 1), (2, 3)], [], "l1_only_odd_m_paths",
+     "cycle ((0, 1), (1, 2), (2, 3), (0, 3))"),
+    (P3, [(0, 1)], [(1, 2)], [], "c1_shared_complement", "shared [] vs [(0, 1)] and [(1, 2)]"),
+    (K2, K2, [], [], "l2_two_smaller_side_neighbors", "edge (0, 1) meets 0 smaller-side edges"),
+    (K2, K2, [], [], "l3_core_odd_paths_only", "odd path ((0, 1),) starting in the core"),
+    (P3, [(1, 2)], [], [(0, 1)], "l3_core_odd_paths_only", "even path ((0, 1), (1, 2))"),
+    (C4, [(0, 1), (2, 3)], [], [(0, 3), (1, 2)], "l3_core_odd_paths_only",
+     "cycle ((0, 1), (1, 2), (2, 3), (0, 3))"),
+    (K2, K2, [], [], "l4_smaller_side_size_identity", "0 != 1"),
+    (K2, K2, [], [], "l5_long_paths_end_edges",
+     "odd path ((0, 1),) has length 1 < 5; "
+     "odd path ((0, 1),) has an end-edge outside the smaller side"),
+    (K2, K2, [], [], "c2_h_edges_bound", "0 < 2"),
+    (K2, K2, [], [], "c3_path_vertices_covered",
+     "vertex 0 of path ((0, 1),) meets no smaller-side edge; "
+     "vertex 1 of path ((0, 1),) meets no smaller-side edge"),
+    (K2, K2, [], [], "l6a_launched_paths",
+     "end-edge (0, 1) of odd path ((0, 1),) outside the smaller side; "
+     "end-edge (0, 1) of odd path ((0, 1),) outside the smaller side; "
+     "0 launches for 1 odd paths; 0 distinct launched paths, expected 2"),
+    (K2, K2, [], K2, "l6a_launched_paths",
+     "1 distinct launched paths, expected 2; launched path ((0, 1),) has odd length; "
+     "launched path ((0, 1),) has length 1 < 4; launched last edges [(0, 1)] not shared"),
+    (K2, K2, [], [], "l6b_odd_core_bound", "0 < 1"),
+    (K2, K2, [], [], "r1_ratio_chain", "twice launched count 0 != four gaps 4"),
+    (K2, K2, [], K2, "r1_ratio_chain",
+     "larger side 0 < smaller side 1; smaller side 1 < twice launched count 2; "
+     "twice launched count 2 != four gaps 4"),
+]
+
+
+def component(kind: str, vertices: tuple, sides: str) -> AlternatingComponent:
+    """A hand-built component walking ``vertices``; ``sides`` spells the
+    side of each edge, one letter each."""
+    walk = vertices + vertices[:1] if kind == "cycle" else vertices
+    edges = tuple((min(u, v), max(u, v)) for u, v in zip(walk, walk[1:]))
+    return AlternatingComponent(kind, vertices, edges, tuple(sides))
+
+
+def decomposition(cycles=(), even_paths=(), odd_paths_a=(), odd_paths_b=()) -> Decomposition:
+    return Decomposition(frozenset(), tuple(cycles), tuple(even_paths), tuple(odd_paths_a), tuple(odd_paths_b))
+
+
+class TestEveryCheckCanFail:
+    @pytest.mark.parametrize("edges, m, h, h_prime, name, detail", FAILING_CHECKS)
+    def test_detail_names_the_witness(self, edges, m, h, h_prime, name, detail):
+        g = Graph.from_edges(max(v for e in edges for v in e) + 1, edges)
+        t = CanonicalTriple(frozenset(h), frozenset(h_prime), frozenset(m))
+        check = verify_lemmas(g, t).checks[name]
+        assert (check.ok, check.detail) == (False, detail)
+
+    def test_every_check_past_p3_is_in_the_table(self):
+        assert {row[4] for row in FAILING_CHECKS} == set(list(LEMMA_CHECKS)[3:])
+
+    @pytest.mark.parametrize(
+        "d, detail",
+        [
+            (decomposition(cycles=[component("cycle", (0, 1, 2, 3), "AABA")]),
+             "cycle ((0, 1), (1, 2), (2, 3), (0, 3)) has unbalanced sides"),
+            (decomposition(even_paths=[component("even_path", (0, 1, 2), "AA")]),
+             "even_path ((0, 1), (1, 2)) has unbalanced sides"),
+            (decomposition(odd_paths_a=[component("odd_path", (0, 1, 2, 3), "ABB")]),
+             "odd path ((0, 1), (1, 2), (2, 3)) lacks the one-edge A surplus"),
+            (decomposition(odd_paths_b=[component("odd_path", (0, 1, 2, 3), "BAA")]),
+             "odd path ((0, 1), (1, 2), (2, 3)) lacks the one-edge B surplus"),
+        ],
+    )
+    def test_property_1(self, d, detail):
+        assert check_property_1(d) == (False, detail)
+
+    def test_property_1_joins_every_witness(self):
+        d = decomposition(
+            even_paths=[component("even_path", (0, 1, 2), "AA")],
+            odd_paths_b=[component("odd_path", (4, 5), "A")],
+        )
+        assert check_property_1(d).detail == (
+            "even_path ((0, 1), (1, 2)) has unbalanced sides; "
+            "odd path ((4, 5),) lacks the one-edge B surplus"
+        )
+
+    def test_property_2(self):
+        assert check_property_2({(0, 1)}, set(), decomposition()) == (False, "size difference 1 != 0")
+
+    def test_property_3(self):
+        opposite = decomposition(odd_paths_b=[component("odd_path", (0, 1), "B")])
+        assert _property_3(0, opposite) == (False, "odd path starting opposite: ((0, 1),)")
+        assert _property_3(1, decomposition()) == (False, "gap 1 != 0 odd paths")
+
+    def test_sides_that_share_an_edge_are_refused(self):
+        t = CanonicalTriple(frozenset(K2), frozenset(K2), frozenset(K2))
+        with pytest.raises(ValueError, match="triple sides are not edge-disjoint"):
+            verify_lemmas(gen_complete(2), t)

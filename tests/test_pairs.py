@@ -206,6 +206,19 @@ class TestSolvePair:
         # best-known values are still a valid (uncertified) pair
         assert len(r.h) + len(r.h_prime) == r.lambda2
 
+    def test_budget_stops_the_search(self, search_only):
+        # The budget runs out in branch and bound, not in the DP.  The
+        # pair found by then is a valid lower bound; the oracle gives
+        # (10, 6), which a larger budget certifies.
+        g = gen_random(14, 0.2, 337)
+        r = solve_pair(g, node_budget=10)
+        assert (r.route, r.status, r.nodes) == ("search", "budget_exceeded", 11)
+        assert (r.lambda2, r.alpha2) == (10, 5)
+        rb = solve_pair_bruteforce(g)
+        assert (rb.lambda2, rb.alpha2) == (10, 6)
+        r = solve_pair(g, node_budget=1000)
+        assert (r.route, r.status, r.nodes, r.lambda2, r.alpha2) == ("search", "optimal", 109, 10, 6)
+
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             solve_pair(gen_gap_family(10), node_budget=-1)
