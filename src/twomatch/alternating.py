@@ -14,7 +14,10 @@ structure of a canonical triple (optimal pair plus overlap-maximizing
 maximum matching).  Together they force the ratio bound: the maximum
 matching can exceed the larger side of an optimal pair by at most a
 quarter of that side.  Each checker returns a verdict carrying a concrete
-witness on failure; failures are data, not exceptions.
+witness on failure; failures are data, not exceptions.  ``verify_lemmas``
+decomposes three pairs, (m, h), (h, h_prime) and the core against
+h_prime, once each, and reads every check and every launched path off
+those three.
 """
 
 from __future__ import annotations
@@ -88,13 +91,6 @@ class Decomposition(NamedTuple):
         return self.even_paths + self.odd_paths_a + self.odd_paths_b
 
 
-def _difference(a: frozenset[Edge], b: frozenset[Edge]) -> dict[Edge, str]:
-    """The side, "A" or "B", of each edge in just one of ``a`` and ``b``."""
-    side_of = dict.fromkeys(a - b, "A")
-    side_of.update(dict.fromkeys(b - a, "B"))
-    return side_of
-
-
 def _component(walk: list[int], side_of: dict[Edge, str]) -> AlternatingComponent:
     """The component that ``walk`` (from ``_paths_and_cycles``) traces."""
     edges = tuple((u, v) if u < v else (v, u) for u, v in zip(walk, walk[1:]))
@@ -119,7 +115,8 @@ def decompose(g: Graph, a: Iterable[Edge], b: Iterable[Edge]) -> Decomposition:
         reason = matching_violation(g, s)
         if reason is not None:
             raise ValueError(f"{name} matching invalid: {reason}")
-    side_of = _difference(a, b)
+    side_of = dict.fromkeys(a - b, "A")  # the side of each unshared edge
+    side_of.update(dict.fromkeys(b - a, "B"))
     comps = [_component(walk, side_of) for walk in _paths_and_cycles(side_of)]
     comps.sort(key=lambda c: min(c.vertices))
 
@@ -140,6 +137,12 @@ class Verdict(NamedTuple):
         return self.ok
 
 
+def _verdict(problems: list[str]) -> Verdict:
+    """The verdict of a check that found ``problems``: it holds when there
+    are none, and its detail lists them."""
+    return Verdict(not problems, "; ".join(problems))
+
+
 def check_property_1(d: Decomposition) -> Verdict:
     """Cycles and even paths carry both sides equally; an odd path's
     starting side exceeds the other by exactly one."""
@@ -153,33 +156,43 @@ def check_property_1(d: Decomposition) -> Verdict:
     for c in d.odd_paths_b:
         if c.side_count("B") != c.side_count("A") + 1:
             bad.append(f"odd path {c.edges} lacks the one-edge B surplus")
-    return Verdict(not bad, "; ".join(bad))
+    return _verdict(bad)
 
 
 def check_property_2(a: Iterable[Edge], b: Iterable[Edge], d: Decomposition) -> Verdict:
     """|A| - |B| equals the count of A-started odd paths minus B-started."""
-    a, b = frozenset(a), frozenset(b)
-    lhs = len(a) - len(b)
+    lhs = len(frozenset(a)) - len(frozenset(b))
     rhs = len(d.odd_paths_a) - len(d.odd_paths_b)
-    return Verdict(lhs == rhs, "" if lhs == rhs else f"size difference {lhs} != {rhs}")
+    return _verdict([f"size difference {lhs} != {rhs}"] if lhs != rhs else [])
 
 
 def _property_3(gap: int, d: Decomposition) -> Verdict:
     """Against a maximum matching A no odd path starts on the other side,
     and the size gap |A| - |B| equals the number of odd A-started paths."""
     if d.odd_paths_b:
-        return Verdict(False, f"odd path starting opposite: {d.odd_paths_b[0].edges}")
-    if gap != len(d.odd_paths_a):
-        return Verdict(False, f"gap {gap} != {len(d.odd_paths_a)} odd paths")
-    return Verdict(True)
+        return _verdict([f"odd path starting opposite: {d.odd_paths_b[0].edges}"])
+    odd = len(d.odd_paths_a)
+    return _verdict([f"gap {gap} != {odd} odd paths"] if gap != odd else [])
 
 
 def _property_4(d: Decomposition) -> Verdict:
     """For an optimal pair (A, B), no odd path starts from the smaller
     side B.  Meaningful only when the pair attains both pair optima."""
-    if d.odd_paths_b:
-        return Verdict(False, f"odd path starting in the smaller side: {d.odd_paths_b[0].edges}")
-    return Verdict(True)
+    wrong = d.odd_paths_b
+    return _verdict([f"odd path starting in the smaller side: {wrong[0].edges}"] if wrong else [])
+
+
+def _odd_paths_only(d: Decomposition, wrong: tuple[AlternatingComponent, ...], where: str) -> Verdict:
+    """``d`` has no cycle, no even path and no odd path in ``wrong``, the
+    odd paths that start in ``where``."""
+    bad = []
+    if d.cycles:
+        bad.append(f"cycle {d.cycles[0].edges}")
+    if d.even_paths:
+        bad.append(f"even path {d.even_paths[0].edges}")
+    if wrong:
+        bad.append(f"odd path {wrong[0].edges} starting in {where}")
+    return _verdict(bad)
 
 
 class TripleArtifacts(NamedTuple):
@@ -191,9 +204,9 @@ class TripleArtifacts(NamedTuple):
     alternating path launched from the path's outer endpoint (duplicates
     collapsed).  ``h_y``: the last edges of those launched paths.
     ``launch_count`` is the number of launch attempts that succeeded;
-    ``defects`` records structural anomalies (end-edge outside the
-    smaller side, launch vertex not free), which on a genuine canonical
-    triple never occur and otherwise surface as lemma failures.
+    ``defects`` records each end-edge outside the smaller side, which on
+    a genuine canonical triple never occurs and otherwise surfaces as a
+    lemma failure.
     """
 
     m_a: frozenset[Edge]
@@ -222,14 +235,17 @@ def _triple_sets(
 def derive_artifacts(g: Graph, t: CanonicalTriple) -> TripleArtifacts:
     """Build the odd-path edge sets and launched-path family for ``t``."""
     m, h, hp = _triple_sets(g, t)
-    return _artifacts(h, hp, decompose(g, m, h))
+    return _artifacts(hp, decompose(g, m, h), decompose(g, h, hp))
 
 
-def _artifacts(
-    h: frozenset[Edge], hp: frozenset[Edge], d_mh: Decomposition
-) -> TripleArtifacts:
-    """``derive_artifacts`` of a checked triple, given the decomposition of
-    its (m, h)."""
+def _artifacts(hp: frozenset[Edge], d_mh: Decomposition, d_hhp: Decomposition) -> TripleArtifacts:
+    """``derive_artifacts`` of a checked triple, given the decompositions
+    of its (m, h) and its (h, h_prime).
+
+    The launch vertex, the outer end of an odd (m, h) path, meets no edge
+    of h, so its end-edge, when in h_prime, makes it the end of a path of
+    the (h, h_prime) difference.
+    """
     odd_m = d_mh.odd_paths_a
     m_a = frozenset(e for c in odd_m for e, s in zip(c.edges, c.sides) if s == "A")
     h_a = frozenset(e for c in odd_m for e, s in zip(c.edges, c.sides) if s == "B")
@@ -239,12 +255,12 @@ def _artifacts(
 
     # Each path of the pair difference, keyed by either end and walked
     # from it.
-    side_of = _difference(h, hp)
-    from_end: dict[int, list[int]] = {}
-    for walk in _paths_and_cycles(side_of):
-        if walk[0] != walk[-1]:
-            from_end[walk[0]] = walk
-            from_end[walk[-1]] = walk[::-1]
+    from_end: dict[int, AlternatingComponent] = {}
+    for c in d_hhp.paths():
+        from_end[c.vertices[0]] = c
+        from_end[c.vertices[-1]] = c._replace(
+            vertices=c.vertices[::-1], edges=c.edges[::-1], sides=c.sides[::-1]
+        )
     defects: list[str] = []
     launched: list[AlternatingComponent] = []
     seen: set[frozenset[Edge]] = set()
@@ -257,12 +273,7 @@ def _artifacts(
                     f"end-edge {end_edge} of odd path {path.edges} outside the smaller side"
                 )
                 continue
-            if vertex not in from_end:
-                defects.append(
-                    f"launch vertex {vertex} is not a path endpoint in the pair difference"
-                )
-                continue
-            comp = _component(from_end[vertex], side_of)
+            comp = from_end[vertex]
             launches += 1
             key = frozenset(comp.edges)
             if key not in seen:
@@ -322,45 +333,29 @@ def verify_lemmas(g: Graph, t: CanonicalTriple) -> LemmaReport:
     alpha = len(h)
     gap = nu - alpha
     d_mh = decompose(g, m, h)
-    art = _artifacts(h, hp, d_mh)
     d_hhp = decompose(g, h, hp)
+    art = _artifacts(hp, d_mh, d_hhp)
     d_core = decompose(g, art.m_a, hp)
 
     checks: dict[str, Verdict] = {}
 
     p1_parts = [check_property_1(d) for d in (d_mh, d_hhp, d_core)]
-    checks["p1_component_balance"] = Verdict(
-        all(v.ok for v in p1_parts),
-        "; ".join(v.detail for v in p1_parts if not v.ok),
-    )
+    checks["p1_component_balance"] = _verdict([v.detail for v in p1_parts if not v.ok])
     p2_parts = [
         check_property_2(m, h, d_mh),
         check_property_2(h, hp, d_hhp),
         check_property_2(art.m_a, hp, d_core),
     ]
-    checks["p2_count_identity"] = Verdict(
-        all(v.ok for v in p2_parts),
-        "; ".join(v.detail for v in p2_parts if not v.ok),
-    )
+    checks["p2_count_identity"] = _verdict([v.detail for v in p2_parts if not v.ok])
     checks["p3_max_matching_paths"] = _property_3(gap, d_mh)
     checks["p4_optimal_pair_paths"] = _property_4(d_hhp)
-
-    bad = []
-    if d_mh.cycles:
-        bad.append(f"cycle {d_mh.cycles[0].edges}")
-    if d_mh.even_paths:
-        bad.append(f"even path {d_mh.even_paths[0].edges}")
-    if d_mh.odd_paths_b:
-        bad.append(f"odd path {d_mh.odd_paths_b[0].edges} starting in the larger side")
-    checks["l1_only_odd_m_paths"] = Verdict(not bad, "; ".join(bad))
+    checks["l1_only_odd_m_paths"] = _odd_paths_only(d_mh, d_mh.odd_paths_b, "the larger side")
 
     shared = m & h
-    ok_c1 = shared == m - art.m_a and shared == h - art.h_a
-    checks["c1_shared_complement"] = Verdict(
-        ok_c1,
-        ""
-        if ok_c1
-        else f"shared {sorted(shared)} vs {sorted(m - art.m_a)} and {sorted(h - art.h_a)}",
+    checks["c1_shared_complement"] = _verdict(
+        []
+        if shared == m - art.m_a and shared == h - art.h_a
+        else [f"shared {sorted(shared)} vs {sorted(m - art.m_a)} and {sorted(h - art.h_a)}"]
     )
 
     bad = []
@@ -369,22 +364,13 @@ def verify_lemmas(g: Graph, t: CanonicalTriple) -> LemmaReport:
         touching = sum(1 for f in hp if u in f or v in f)
         if touching != 2:
             bad.append(f"edge {e} meets {touching} smaller-side edges")
-    checks["l2_two_smaller_side_neighbors"] = Verdict(not bad, "; ".join(bad))
+    checks["l2_two_smaller_side_neighbors"] = _verdict(bad)
 
-    bad = []
-    if d_core.cycles:
-        bad.append(f"cycle {d_core.cycles[0].edges}")
-    if d_core.even_paths:
-        bad.append(f"even path {d_core.even_paths[0].edges}")
-    if d_core.odd_paths_a:
-        bad.append(f"odd path {d_core.odd_paths_a[0].edges} starting in the core")
-    checks["l3_core_odd_paths_only"] = Verdict(not bad, "; ".join(bad))
+    checks["l3_core_odd_paths_only"] = _odd_paths_only(d_core, d_core.odd_paths_a, "the core")
 
     lhs = len(hp)
     rhs = len(d_core.odd_paths_b) + len(art.h_a) + gap
-    checks["l4_smaller_side_size_identity"] = Verdict(
-        lhs == rhs, "" if lhs == rhs else f"{lhs} != {rhs}"
-    )
+    checks["l4_smaller_side_size_identity"] = _verdict([f"{lhs} != {rhs}"] if lhs != rhs else [])
 
     bad = []
     for c in d_mh.odd_paths_a:
@@ -392,23 +378,23 @@ def verify_lemmas(g: Graph, t: CanonicalTriple) -> LemmaReport:
             bad.append(f"odd path {c.edges} has length {c.length} < 5")
         if c.edges[0] not in hp or c.edges[-1] not in hp:
             bad.append(f"odd path {c.edges} has an end-edge outside the smaller side")
-    checks["l5_long_paths_end_edges"] = Verdict(not bad, "; ".join(bad))
+    checks["l5_long_paths_end_edges"] = _verdict(bad)
 
-    checks["c2_h_edges_bound"] = Verdict(
-        len(art.h_a) >= 2 * gap,
-        "" if len(art.h_a) >= 2 * gap else f"{len(art.h_a)} < {2 * gap}",
+    h_count = len(art.h_a)
+    checks["c2_h_edges_bound"] = _verdict(
+        [f"{h_count} < {2 * gap}"] if h_count < 2 * gap else []
     )
 
-    bad = []
-    for c in d_mh.paths():
-        for v in c.vertices:
-            if not any(v in f for f in hp):
-                bad.append(f"vertex {v} of path {c.edges} meets no smaller-side edge")
-    checks["c3_path_vertices_covered"] = Verdict(not bad, "; ".join(bad))
+    checks["c3_path_vertices_covered"] = _verdict(
+        [
+            f"vertex {v} of path {c.edges} meets no smaller-side edge"
+            for c in d_mh.paths()
+            for v in c.vertices
+            if not any(v in f for f in hp)
+        ]
+    )
 
-    bad = []
-    if art.defects:
-        bad.extend(art.defects)
+    bad = list(art.defects)
     if art.launch_count != 2 * len(d_mh.odd_paths_a):
         bad.append(f"{art.launch_count} launches for {len(d_mh.odd_paths_a)} odd paths")
     if len(art.y_paths) != 2 * gap:
@@ -418,14 +404,12 @@ def verify_lemmas(g: Graph, t: CanonicalTriple) -> LemmaReport:
             bad.append(f"launched path {c.edges} has odd length")
         if c.length < 4:
             bad.append(f"launched path {c.edges} has length {c.length} < 4")
-    if not art.h_y <= (m & h):
-        bad.append(f"launched last edges {sorted(art.h_y - (m & h))} not shared")
-    checks["l6a_launched_paths"] = Verdict(not bad, "; ".join(bad))
+    if not art.h_y <= shared:
+        bad.append(f"launched last edges {sorted(art.h_y - shared)} not shared")
+    checks["l6a_launched_paths"] = _verdict(bad)
 
-    checks["l6b_odd_core_bound"] = Verdict(
-        len(d_core.odd_paths_b) >= gap,
-        "" if len(d_core.odd_paths_b) >= gap else f"{len(d_core.odd_paths_b)} < {gap}",
-    )
+    core_odd = len(d_core.odd_paths_b)
+    checks["l6b_odd_core_bound"] = _verdict([f"{core_odd} < {gap}"] if core_odd < gap else [])
 
     y_count = len(art.y_paths)
     bad = []
@@ -435,6 +419,6 @@ def verify_lemmas(g: Graph, t: CanonicalTriple) -> LemmaReport:
         bad.append(f"smaller side {len(hp)} < twice launched count {2 * y_count}")
     if 2 * y_count != 4 * gap:
         bad.append(f"twice launched count {2 * y_count} != four gaps {4 * gap}")
-    checks["r1_ratio_chain"] = Verdict(not bad, "; ".join(bad))
+    checks["r1_ratio_chain"] = _verdict(bad)
 
     return LemmaReport(checks, art)

@@ -1,7 +1,8 @@
 """Command-line front end: solve, census, verify-lemmas, generate.
 
-Exit codes: 0 all checks pass, 1 check failure, 2 usage or parse error,
-3 node budget exceeded, 141 standard output closed early (broken pipe).
+Exit codes: 0 all checks pass, 1 check failure (``solve`` and ``census``
+both by ``GraphReport.failures``), 2 usage or parse error, 3 node budget
+exceeded, 141 standard output closed early (broken pipe).
 """
 
 from __future__ import annotations
@@ -111,19 +112,29 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _write_csv([_csv_row(report)])
     else:
         _print_json(report.to_dict())
-    if report.ratio_ok is False or (report.lemmas.checked and report.lemmas.failed):
+    if report.failures():
         return EXIT_CHECK_FAILED
     if report.status == "budget_exceeded":
         return EXIT_BUDGET
     return EXIT_OK
 
 
-def _tight_base(k: int) -> Graph:
-    """Built-in base series for the ratio-tight family: the single edge
-    for k=1, the even cycle on 2k vertices for k >= 2."""
+def _tight(k: int) -> Graph:
+    """The ratio-tight family over its built-in base series: the single
+    edge for k=1, the even cycle on 2k vertices for k >= 2."""
     if k < 1:
         raise ValueError("tight family index must be at least 1")
-    return gen_complete(2) if k == 1 else gen_cycle(2 * k)
+    return gen_tight_family(gen_complete(2) if k == 1 else gen_cycle(2 * k))
+
+
+#: The graphs named by one integer, for ``generate`` and ``census --family``.
+_ONE_INTEGER = {
+    "path": gen_path,
+    "cycle": gen_cycle,
+    "complete": gen_complete,
+    "tight": _tight,
+    "gap": gen_gap_family,
+}
 
 
 def _int_at_least(low: int):
@@ -169,12 +180,8 @@ def _census_corpus(args: argparse.Namespace) -> tuple[str, list[tuple[str, Graph
         return f"random n={n} p={p} count={count} seed={args.seed}", items
     if args.family is not None:
         lo, hi = _parse_k_range(args.k_range)
-        items = []
-        for k in range(lo, hi + 1):
-            if args.family == "tight":
-                items.append((f"tight(k={k})", gen_tight_family(_tight_base(k))))
-            else:
-                items.append((f"gap(k={k})", gen_gap_family(k)))
+        family = _ONE_INTEGER[args.family]
+        items = [(f"{args.family}(k={k})", family(k)) for k in range(lo, hi + 1)]
         return f"family {args.family} k={lo}..{hi}", items
     text = _read_text(args.input)
     if args.format == "graph6":
@@ -258,22 +265,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     kind = args.kind
     params = args.params
     try:
-        if kind == "path":
-            graphs = [gen_path(int(params[0]))]
-        elif kind == "cycle":
-            graphs = [gen_cycle(int(params[0]))]
-        elif kind == "complete":
-            graphs = [gen_complete(int(params[0]))]
-        elif kind == "random":
+        if kind == "random":
             graphs = [gen_random(int(params[0]), float(params[1]), args.seed)]
-        elif kind == "tight":
-            graphs = [gen_tight_family(_tight_base(int(params[0])))]
-        elif kind == "gap":
-            graphs = [gen_gap_family(int(params[0]))]
         elif kind == "enumerate":
             graphs = list(enumerate_graphs(int(params[0])))
-        else:  # pragma: no cover - argparse choices forbid this
-            raise ValueError(f"unknown kind {kind}")
+        else:
+            graphs = [_ONE_INTEGER[kind](int(params[0]))]
     except IndexError:
         print(f"error: missing parameter for generate {kind}", file=sys.stderr)
         return EXIT_USAGE
@@ -321,14 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="omit timing fields for byte-stable output",
             )
+            p.add_argument("--output", choices=["json", "csv"], default="json")
+            p.add_argument("--skip-lemmas", action="store_true", help="skip the lemma suite")
 
     p_solve = sub.add_parser("solve", help="analyze a single graph")
     p_solve.add_argument("input", help="path to a graph file, or - for stdin")
     add_common(p_solve)
-    p_solve.add_argument("--output", choices=["json", "csv"], default="json")
-    p_solve.add_argument(
-        "--skip-lemmas", action="store_true", help="skip the lemma suite"
-    )
     p_solve.set_defaults(func=cmd_solve)
 
     p_census = sub.add_parser("census", help="sweep a corpus of graphs")
@@ -357,10 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--seed", type=int, default=0, help="base seed for --random")
     p_census.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel workers")
     add_common(p_census)
-    p_census.add_argument("--output", choices=["json", "csv"], default="json")
-    p_census.add_argument(
-        "--skip-lemmas", action="store_true", help="skip the lemma suite"
-    )
     p_census.set_defaults(func=cmd_census)
 
     p_verify = sub.add_parser(

@@ -3,10 +3,12 @@
 One graph in, one report out: maximum matching size, exact pair optima,
 the ratio check (as an integer cross-product, never floating point, and
 only on certified optima), and the lemma suite when the instance is
-within the triple-search ceiling.  A census maps this over a corpus,
-aggregates exact maxima and histograms over the certified rows, and
-collects failures; graphs are independent, so sweeps parallelize
-over a worker pool with input order preserved in the output.
+within the triple-search ceiling.  ``GraphReport.failures`` is the one
+failure rule: a broken ratio bound, optima out of order, or a lemma
+failure.  A census maps the analysis over a corpus, aggregates exact
+maxima and histograms over the certified rows, and collects those
+failures; graphs are independent, so sweeps parallelize over a worker
+pool with input order preserved in the output.
 """
 
 from __future__ import annotations
@@ -87,6 +89,21 @@ class GraphReport(NamedTuple):
     def gap(self) -> int:
         return self.nu - self.alpha2
 
+    def failures(self) -> list[dict]:
+        """What this report breaks, as census failure entries: the ratio
+        bound, the order nu >= alpha2 >= lambda2 / 2 of certified optima,
+        or a lemma check (the solver cross-check included)."""
+        found = []
+        if self.ratio_ok is False:
+            found.append(("ratio_bound", f"4*nu = {4 * self.nu} > 5*alpha2 = {5 * self.alpha2}"))
+        if self.status == "ok" and not self.nu >= self.alpha2 >= (self.lambda2 + 1) // 2:
+            found.append(
+                ("report_invariant", f"nu={self.nu}, alpha2={self.alpha2}, lambda2={self.lambda2}")
+            )
+        if self.lemmas.checked and self.lemmas.failed:
+            found.append(("lemma", ", ".join(self.lemmas.failures)))
+        return [{"source": self.source, "kind": kind, "detail": detail} for kind, detail in found]
+
     def to_dict(self) -> dict:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -161,14 +178,15 @@ def analyze_graph(
     else:
         triple = canonical_triple(g)
         report = verify_lemmas(g, triple)
-        failures = list(report.failures())
+        failures = report.failures()
+        passed = len(report.checks) - len(failures)
         # Dual-route consistency: solve_pair vs exhaustive enumeration.
         if len(triple.h) != pair.alpha2 or len(triple.h) + len(triple.h_prime) != pair.lambda2:
             failures.append("solver_vs_enumeration_mismatch")
         summary = LemmaSummary(
             checked=True,
             triples=1,
-            passed=len(report.checks) - len(report.failures()),
+            passed=passed,
             failed=len(failures),
             failures=tuple(failures),
         )
@@ -242,35 +260,6 @@ def _census_worker(item: tuple[str, Graph, int, bool]) -> GraphReport:
     )
 
 
-def _report_failures(r: GraphReport) -> list[dict]:
-    out = []
-    if r.ratio_ok is False:
-        out.append(
-            {
-                "source": r.source,
-                "kind": "ratio_bound",
-                "detail": f"4*nu = {4 * r.nu} > 5*alpha2 = {5 * r.alpha2}",
-            }
-        )
-    if r.status == "ok" and not r.nu >= r.alpha2 >= (r.lambda2 + 1) // 2:
-        out.append(
-            {
-                "source": r.source,
-                "kind": "report_invariant",
-                "detail": f"nu={r.nu}, alpha2={r.alpha2}, lambda2={r.lambda2}",
-            }
-        )
-    if r.lemmas.checked and r.lemmas.failed:
-        out.append(
-            {
-                "source": r.source,
-                "kind": "lemma",
-                "detail": ", ".join(r.lemmas.failures),
-            }
-        )
-    return out
-
-
 def run_census(
     items: Sequence[tuple[str, Graph]],
     *,
@@ -300,7 +289,7 @@ def run_census(
     budget = 0
     lemma_checked = 0
     for r in reports:
-        failures.extend(_report_failures(r))
+        failures.extend(r.failures())
         if r.status == "budget_exceeded":
             budget += 1
             continue

@@ -335,7 +335,9 @@ def component(kind: str, vertices: tuple, sides: str) -> AlternatingComponent:
 
 
 def decomposition(cycles=(), even_paths=(), odd_paths_a=(), odd_paths_b=()) -> Decomposition:
-    return Decomposition(frozenset(), tuple(cycles), tuple(even_paths), tuple(odd_paths_a), tuple(odd_paths_b))
+    """A hand-built decomposition with no shared edge."""
+    parts = (cycles, even_paths, odd_paths_a, odd_paths_b)
+    return Decomposition(frozenset(), *map(tuple, parts))
 
 
 class TestEveryCheckCanFail:

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from twomatch import (
+    PairResult,
+    Verdict,
     encode_graph6,
     gen_complete,
     gen_cycle,
@@ -18,7 +20,9 @@ from twomatch import (
     gen_random,
     gen_tight_family,
     to_edge_list,
+    verify_lemmas,
 )
+from twomatch import reports
 from twomatch.cli import main
 
 
@@ -199,6 +203,26 @@ class TestSolve:
         doc = json.loads(out)
         assert (doc["status"], doc["certified_by"], doc["solver_nodes"]) == ("ok", "caps", 0)
 
+    def test_two_graph6_lines_are_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "two.g6"
+        path.write_text(encode_graph6(gen_complete(2)) + "\n" + encode_graph6(gen_complete(3)) + "\n")
+        code, out, err = run_cli(capsys, "solve", str(path), "--format", "graph6")
+        assert (code, out) == (2, "")
+        assert err == "error: expected exactly one graph6 line, got 2\n"
+
+    def test_node_budget_must_be_an_integer(self, capsys, tight_k2_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", tight_k2_file, "--node-budget", "1e6"])
+        assert exc.value.code == 2
+        assert "--node-budget: expected an integer, got '1e6'" in capsys.readouterr().err
+
+    def test_timings(self, capsys, tight_k2_file):
+        code, out, _ = run_cli(capsys, "solve", tight_k2_file)
+        assert code == 0
+        timings = json.loads(out)["timings"]
+        assert sorted(timings) == ["lemmas", "pair_solver"]
+        assert all(t >= 0 for t in timings.values())
+
     def test_csv_output(self, capsys, tight_k2_file):
         code, out, _ = run_cli(
             capsys, "solve", tight_k2_file, "--output", "csv", "--no-timings"
@@ -362,6 +386,77 @@ class TestCensus:
         assert code == 0
         assert json.loads(out)["count"] == 8
 
+    def test_edge_list_file_corpus(self, capsys, tight_k2_file):
+        code, out, _ = run_cli(capsys, "census", "--input", tight_k2_file, "--no-timings")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["corpus"], doc["count"]) == (f"file {tight_k2_file}", 1)
+        assert (doc["max_ratio"], doc["max_ratio_source"]) == ("5/4", tight_k2_file)
+        assert doc["lemma_checked"] == 1
+
+    @pytest.mark.parametrize(
+        "k_range, message",
+        [("x", "bad k-range 'x', expected A:B"), ("3:2", "bad k-range '3:2', expected A <= B")],
+    )
+    def test_bad_k_range(self, capsys, k_range, message):
+        code, out, err = run_cli(capsys, "census", "--family", "gap", "--k-range", k_range)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_elapsed_seconds(self, capsys):
+        code, out, _ = run_cli(capsys, "census", "--exhaustive", "3")
+        assert code == 0
+        assert json.loads(out)["elapsed_seconds"] >= 0
+
+
+def fake_pair(lambda2: int, alpha2: int, h, h_prime, nu: int):
+    """A stand-in for ``solve_pair`` that reports the given pair as optimal."""
+    return lambda g, node_budget: PairResult(
+        lambda2, alpha2, frozenset(h), frozenset(h_prime), nu, "optimal", 0, "caps"
+    )
+
+
+def failing_lemma(g, t):
+    """``verify_lemmas`` with the l4 check turned into a failure."""
+    report = verify_lemmas(g, t)
+    report.checks["l4_smaller_side_size_identity"] = Verdict(False, "planted")
+    return report
+
+
+class TestCheckFailureExit1:
+    """``solve`` and ``census`` share one failure rule, and exit 1 on it."""
+
+    P3 = [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize(
+        "edges, pair, lemmas, kind, detail",
+        [
+            # nu = 2 against alpha2 = 1: 4*nu > 5*alpha2.
+            ([(0, 1)], fake_pair(1, 1, [(0, 1)], [], 2), None, "ratio_bound",
+             "4*nu = 8 > 5*alpha2 = 5"),
+            # alpha2 above nu, with the ratio bound and the lemmas holding.
+            ([(0, 1)], fake_pair(1, 1, [(0, 1)], [], 0), None, "report_invariant",
+             "nu=0, alpha2=1, lambda2=1"),
+            (P3, None, failing_lemma, "lemma", "l4_smaller_side_size_identity"),
+            # The solver misses lambda2 = 3 that the triple search finds.
+            (P3, fake_pair(2, 2, [(0, 1), (2, 3)], [], 2), None, "lemma",
+             "solver_vs_enumeration_mismatch"),
+        ],
+        ids=["ratio_bound", "report_invariant", "lemma", "solver_vs_enumeration_mismatch"],
+    )
+    def test_solve_and_census(self, capsys, monkeypatch, tmp_path, edges, pair, lemmas, kind, detail):
+        if pair is not None:
+            monkeypatch.setattr(reports, "solve_pair", pair)
+        if lemmas is not None:
+            monkeypatch.setattr(reports, "verify_lemmas", lemmas)
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        code, out, _ = run_cli(capsys, "solve", str(path), "--no-timings")
+        assert code == 1, out
+        code, out, _ = run_cli(capsys, "census", "--input", str(path), "--no-timings")
+        assert code == 1
+        failures = json.loads(out)["failures"]
+        assert failures == [{"source": str(path), "kind": kind, "detail": detail}]
+
 
 class TestVerifyLemmas:
     def test_gap2_all_triples_pass(self, capsys, tmp_path):
@@ -467,6 +562,10 @@ class TestGenerate:
         _, out1, _ = run_cli(capsys, "generate", "random", "8", "0.4", "--seed", "42")
         _, out2, _ = run_cli(capsys, "generate", "random", "8", "0.4", "--seed", "42")
         assert out1 == out2
+
+    def test_cycle(self, capsys):
+        code, out, _ = run_cli(capsys, "generate", "cycle", "4")
+        assert (code, out) == (0, to_edge_list(gen_cycle(4)))
 
     def test_missing_param(self, capsys):
         code, _, err = run_cli(capsys, "generate", "path")
