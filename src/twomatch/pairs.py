@@ -50,21 +50,24 @@ program or the branch and bound.  The package never calls it; the tests
 compare against it.
 
 The triple search runs no oracle and no ``solve_pair``.
-``canonical_triples`` lists the matchings once per graph as edge
-bitmasks, with no recursion.  ``_optimal_pairs`` scores each H in that
-list by the matching number of the graph minus H's edges: the size of
-H's largest disjoint partner in the list.  Each H of size alpha2 whose
-score is lambda2 - alpha2 is followed by every matching of that size
-disjoint from it.  The maximum matchings are the largest masks of the
-same list; ``canonical_triples`` meets each pair with them, counts the
-overlaps on bitmasks, emits the triples already in order and turns only
-their masks into edge sets.  ``enumerate_m2`` yields the same pairs as
-edge sets.
+``_triple_masks`` lists the matchings once per graph as edge bitmasks,
+with no recursion.  ``_optimal_pairs`` scores each H in that list by the
+matching number of the graph minus H's edges: the size of H's largest
+disjoint partner in the list.  Each H of size alpha2 whose score is
+lambda2 - alpha2 is followed by every matching of that size disjoint
+from it.  When the first H is a maximum matching, alpha2 = nu and the
+triples are (H, H', H), read off the pairs with no scoring.  Otherwise
+the maximum matchings, the largest masks of the same list, meet each
+pair, and the overlaps are counted on bitmasks; the triples come out
+already in order.  ``canonical_triples`` turns the masks of every triple
+into edge sets, ``canonical_triple`` those of the first alone.
+``enumerate_m2`` yields the same pairs as edge sets.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .graph import Edge, Graph, _paths_and_cycles
@@ -570,31 +573,32 @@ def enumerate_m2(g: Graph) -> Iterator[tuple[frozenset[Edge], frozenset[Edge]]]:
         yield _edge_set(edges, h), _edge_set(edges, x)
 
 
-def canonical_triples(g: Graph) -> list[CanonicalTriple]:
-    """All triples attaining the lexicographic maximum of
-    (|m & h|, |m & h_prime|) over optimal pairs and maximum matchings.
+def _triple_masks(edges: list[Edge]) -> Iterator[tuple[int, int, int]]:
+    """The maximizing triples over the sorted ``edges`` as bitmasks
+    (h, h_prime, m), in the order ``canonical_triples`` returns them.
 
-    The matchings are listed once, as edge bitmasks; the optimal pairs of
-    ``_optimal_pairs`` and the maximum matchings, those of largest size,
-    both come from that list.  Per H, only the maximum matchings with the
-    largest |m & h| are scored against h_prime.  The pairs come H first,
-    then h_prime, and the matchings in take-then-skip order over sorted
-    edges, which for sets of one size is lexicographic order of their
-    sorted edges.  So the triples come out sorted by (h, h_prime, m) as
-    sorted edge tuples, with no sort afterwards, and the first is the
-    canonical representative.  Only the masks of the triples returned
-    become edge sets, each distinct mask once.
+    Every pair of ``_optimal_pairs`` has |H| = alpha2.  So when the first
+    H is a maximum matching, alpha2 = nu: the only M meeting such an H in
+    nu edges is H itself, the best key is (nu, 0), and the triples are
+    (H, H', H) for each pair in order, with no scoring.  Otherwise every
+    pair is scored, since the best key needs them all.
     """
-    if g.m > PAIR_ORACLE_MAX_EDGES:
-        raise ValueError(f"graph has {g.m} edges, over the triple-search ceiling of {PAIR_ORACLE_MAX_EDGES}")
-    edges = sorted(g.edges)
+    if len(edges) > PAIR_ORACLE_MAX_EDGES:
+        raise ValueError(f"graph has {len(edges)} edges, over the triple-search ceiling of {PAIR_ORACLE_MAX_EDGES}")
     listed = _matchings(edges)
     nu = max(map(int.bit_count, listed))
+    pairs = iter(_optimal_pairs(listed))
+    first = next(pairs)
+    pairs = chain((first,), pairs)
+    if first[0].bit_count() == nu:
+        for a, b in pairs:
+            yield a, b, a
+        return
     ms = [x for x in listed if x.bit_count() == nu]
     best = (-1, -1)
     found: list[tuple[int, int, int]] = []
     last = -1
-    for a, b in _optimal_pairs(listed):
+    for a, b in pairs:
         if a != last:  # a new H: keep the matchings that meet it most
             last = a
             keys = [(x & a).bit_count() for x in ms]
@@ -610,10 +614,35 @@ def canonical_triples(g: Graph) -> list[CanonicalTriple]:
             best = key
             found = []
         found += [(a, b, x) for x, k in zip(closest, keys) if k == key[1]]
+    yield from found
+
+
+def canonical_triples(g: Graph) -> list[CanonicalTriple]:
+    """All triples attaining the lexicographic maximum of
+    (|m & h|, |m & h_prime|) over optimal pairs and maximum matchings.
+
+    The matchings are listed once, as edge bitmasks; the optimal pairs of
+    ``_optimal_pairs`` and the maximum matchings, those of largest size,
+    both come from that list.  When alpha2 = nu the triples are
+    (h, h_prime, h) for each pair, with nothing scored.  Otherwise, per
+    H, only the maximum matchings with the largest |m & h| are scored
+    against h_prime.  The pairs come H first, then h_prime, and the
+    matchings in take-then-skip order over sorted edges, which for sets
+    of one size is lexicographic order of their sorted edges.  So the
+    triples come out sorted by (h, h_prime, m) as sorted edge tuples, with
+    no sort afterwards, and the first is the canonical representative.
+    Only the masks of the triples returned become edge sets, each
+    distinct mask once.
+    """
+    edges = sorted(g.edges)
+    found = list(_triple_masks(edges))
     sets = {x: _edge_set(edges, x) for triple in found for x in triple}
     return [CanonicalTriple(sets[a], sets[b], sets[x]) for a, b, x in found]
 
 
 def canonical_triple(g: Graph) -> CanonicalTriple:
-    """The deterministic representative among all maximizing triples."""
-    return canonical_triples(g)[0]
+    """The deterministic representative among all maximizing triples: the
+    first of ``canonical_triples``.  Only its three masks become edge
+    sets, and when alpha2 = nu only the first optimal pair is read."""
+    edges = sorted(g.edges)
+    return CanonicalTriple(*(_edge_set(edges, x) for x in next(_triple_masks(edges))))

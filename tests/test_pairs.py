@@ -400,6 +400,17 @@ def random_corpus():
     return [g for g in corpus if g.m <= PAIR_ORACLE_MAX_EDGES]
 
 
+def triple_corpus():
+    """Every graph the triple tests run on: small, seeded random, tight(1)
+    with and without a pendant path, and the gap family up to the
+    ceiling."""
+    yield from small_graphs()
+    yield from random_corpus()
+    yield from tight_and_pendant()
+    for k in range(2, 8):
+        yield gen_gap_family(k)
+
+
 class TestEnumerateM2:
     def test_single_edge(self):
         assert list(enumerate_m2(gen_complete(2))) == [
@@ -549,9 +560,42 @@ class TestCanonicalTriple:
         monkeypatch.setattr(matching, "_matchings", counted)
         monkeypatch.setattr(pairs, "_matchings", counted)
         for g in [*tight_and_pendant(), gen_gap_family(3), gen_random(7, 0.4, 321)]:
+            for search in (canonical_triples, canonical_triple):
+                calls.clear()
+                search(g)
+                assert calls == [g.m]
+
+    def test_first_equals_the_full_list(self):
+        for g in triple_corpus():
+            assert canonical_triple(g) == canonical_triples(g)[0]
+
+    def test_turns_only_the_first_triple_into_edge_sets(self, monkeypatch):
+        convert = pairs._edge_set
+        calls = []
+
+        def counted(edges, mask):
+            calls.append(mask)
+            return convert(edges, mask)
+
+        monkeypatch.setattr(pairs, "_edge_set", counted)
+        tight, _ = tight_and_pendant()
+        for g in (gen_gap_family(3), tight):
+            assert len(canonical_triples(g)) > 1
             calls.clear()
-            canonical_triples(g)
-            assert calls == [g.m]
+            canonical_triple(g)
+            assert len(calls) <= 3
+
+    def test_alpha2_is_nu_exactly_when_every_m_is_h(self):
+        # The premise of the alpha2 = nu shortcut, with alpha2 and nu from
+        # the oracle and the triples from the reference scoring of every
+        # pair against every maximum matching.
+        seen = set()
+        for g in triple_corpus():
+            r = solve_pair_bruteforce(g)
+            m_is_h = all(t.m == t.h for t in triples_by_reference(g))
+            assert (r.alpha2 == r.nu) == m_is_h
+            seen.add(m_is_h)
+        assert seen == {True, False}
 
 
 def test_oracle_is_off_the_production_path(monkeypatch):
