@@ -15,9 +15,9 @@ maximum matching).  Together they force the ratio bound: the maximum
 matching can exceed the larger side of an optimal pair by at most a
 quarter of that side.  Each checker returns a verdict carrying a concrete
 witness on failure; failures are data, not exceptions.  ``verify_lemmas``
-decomposes three pairs, (m, h), (h, h_prime) and the core against
-h_prime, once each, and reads every check and every launched path off
-those three.
+takes nu from its caller, decomposes three pairs, (m, h), (h, h_prime)
+and the core against h_prime, once each, and reads every check and
+every launched path off those three.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .graph import Edge, Graph, _paths_and_cycles
-from .matching import matching_violation, max_matching
+from .matching import matching_violation
 from .pairs import CanonicalTriple
 
 __all__ = [
@@ -317,19 +317,18 @@ LEMMA_CHECKS: dict[str, str] = {
 }
 
 
-def verify_lemmas(g: Graph, t: CanonicalTriple) -> LemmaReport:
+def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
     """Evaluate every structural fact on a canonical triple exactly.
 
-    Trusts that ``t`` came from the canonical-triple search; on other
-    inputs the verdicts describe that input, nothing more.  Raises
-    ``ValueError`` for structurally malformed triples (sides not
-    matchings, not disjoint, or ``m`` not maximum).
+    Trusts that ``t`` came from the canonical-triple search and ``nu``,
+    the matching number of ``g``, from the caller; on other inputs the
+    verdicts describe that input only.  Raises ``ValueError`` for
+    malformed triples (sides not matchings, not disjoint, or |m| != nu).
     """
     m, h, hp = _triple_sets(g, t)
-    if len(m) != len(max_matching(g)):
+    if len(m) != nu:
         raise ValueError("triple component m is not a maximum matching")
 
-    nu = len(m)
     alpha = len(h)
     gap = nu - alpha
     d_mh = decompose(g, m, h)

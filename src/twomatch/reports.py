@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .alternating import LemmaReport, verify_lemmas
 from .graph import Graph
+from .matching import max_matching
 from .pairs import (
     DEFAULT_NODE_BUDGET,
     PAIR_ORACLE_MAX_EDGES,
@@ -150,7 +151,8 @@ def analyze_graph(
     with_timings: bool = True,
     with_witness: bool = False,
 ) -> GraphReport:
-    """Full single-graph analysis: nu, pair optima, ratio check, lemma suite."""
+    """Full single-graph analysis: nu, pair optima, ratio check, and the lemma
+    suite on the canonical triple, whose sizes must equal the solver's nu, lambda2, alpha2."""
     timings: dict[str, float] = {}
 
     t0 = perf_counter()
@@ -177,11 +179,12 @@ def analyze_graph(
         )
     else:
         triple = canonical_triple(g)
-        report = verify_lemmas(g, triple)
+        sizes = (len(triple.m), len(triple.h) + len(triple.h_prime), len(triple.h))
+        report = verify_lemmas(g, triple, sizes[0])
         failures = report.failures()
         passed = len(report.checks) - len(failures)
         # Dual-route consistency: solve_pair vs exhaustive enumeration.
-        if len(triple.h) != pair.alpha2 or len(triple.h) + len(triple.h_prime) != pair.lambda2:
+        if sizes != (nu, pair.lambda2, pair.alpha2):
             failures.append("solver_vs_enumeration_mismatch")
         summary = LemmaSummary(
             checked=True,
@@ -211,8 +214,9 @@ def analyze_graph(
 
 
 def verify_graph(g: Graph) -> list[tuple[CanonicalTriple, LemmaReport]]:
-    """Run the lemma suite over every maximizing triple of ``g``."""
-    return [(t, verify_lemmas(g, t)) for t in canonical_triples(g)]
+    """Run the lemma suite over every maximizing triple of ``g``, with one nu."""
+    nu = len(max_matching(g))
+    return [(t, verify_lemmas(g, t, nu)) for t in canonical_triples(g)]
 
 
 class CensusSummary(NamedTuple):

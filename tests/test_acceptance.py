@@ -173,11 +173,11 @@ def test_criterion_6_lemma_suite(lemma_random_corpus):
     canonical_checked = 0
     for n in range(6):
         for g in enumerate_graphs(n):
-            if not verify_lemmas(g, canonical_triple(g)).ok:
+            if not verify_lemmas(g, canonical_triple(g), len(max_matching(g))).ok:
                 failures += 1
             canonical_checked += 1
     for g in lemma_random_corpus:
-        if not verify_lemmas(g, canonical_triple(g)).ok:
+        if not verify_lemmas(g, canonical_triple(g), len(max_matching(g))).ok:
             failures += 1
         canonical_checked += 1
 
@@ -186,8 +186,9 @@ def test_criterion_6_lemma_suite(lemma_random_corpus):
         g for g in lemma_random_corpus if g.m <= 10
     ]
     for g in small:
+        nu = len(max_matching(g))
         for t in canonical_triples(g):
-            if not verify_lemmas(g, t).ok:
+            if not verify_lemmas(g, t, nu).ok:
                 failures += 1
             all_triples_checked += 1
 

@@ -213,17 +213,17 @@ class TestDeriveArtifacts:
 class TestVerifyLemmas:
     def test_check_catalog_is_complete(self):
         g = gen_complete(2)
-        rep = verify_lemmas(g, canonical_triple(g))
+        rep = verify_lemmas(g, canonical_triple(g), len(max_matching(g)))
         assert list(rep.checks) == list(LEMMA_CHECKS)
 
     def test_tight_family_all_pass(self):
         g = gen_tight_family(gen_complete(2))
-        rep = verify_lemmas(g, canonical_triple(g))
+        rep = verify_lemmas(g, canonical_triple(g), len(max_matching(g)))
         assert rep.ok, rep.failures()
 
     def test_k2_degenerate_pass(self):
         g = gen_complete(2)
-        rep = verify_lemmas(g, canonical_triple(g))
+        rep = verify_lemmas(g, canonical_triple(g), len(max_matching(g)))
         assert rep.ok
         assert rep.artifacts.y_paths == ()
 
@@ -232,20 +232,21 @@ class TestVerifyLemmas:
         # by its own single-edge odd paths.
         g = gen_cycle(4)
         t = canonical_triple(g)
-        rep = verify_lemmas(g, t)
+        rep = verify_lemmas(g, t, 2)
         assert rep.ok
         assert len(t.h_prime) == 2
 
     def test_gap_family_all_maximizing_triples(self):
         g = gen_gap_family(2)
         for t in canonical_triples(g):
-            rep = verify_lemmas(g, t)
+            rep = verify_lemmas(g, t, 2)
             assert rep.ok, rep.failures()
 
     def test_exhaustive_n4_all_triples(self):
         for g in enumerate_graphs(4):
+            nu = len(max_matching(g))
             for t in canonical_triples(g):
-                rep = verify_lemmas(g, t)
+                rep = verify_lemmas(g, t, nu)
                 assert rep.ok, (g, t, rep.failures())
 
     def test_non_canonical_triple_fails_informatively(self):
@@ -257,14 +258,14 @@ class TestVerifyLemmas:
             frozenset({(1, 2)}),
             frozenset({(0, 1), (2, 3)}),
         )
-        good = verify_lemmas(g, t)
+        good = verify_lemmas(g, t, 2)
         assert good.ok
         skewed = CanonicalTriple(
             frozenset({(1, 2)}),  # not even alpha2-sized: suite must flag it
             frozenset({(0, 1)}),
             frozenset({(0, 1), (2, 3)}),
         )
-        rep = verify_lemmas(g, skewed)
+        rep = verify_lemmas(g, skewed, 2)
         assert not rep.ok
         assert rep.failures()
 
@@ -272,7 +273,14 @@ class TestVerifyLemmas:
         g = gen_path(3)
         t = CanonicalTriple(frozenset({(1, 2)}), frozenset(), frozenset({(1, 2)}))
         with pytest.raises(ValueError, match="not a maximum"):
-            verify_lemmas(g, t)
+            verify_lemmas(g, t, 2)
+
+    def test_nu_above_a_maximum_m_rejected(self):
+        g = gen_path(3)
+        t = CanonicalTriple(frozenset({(0, 1), (2, 3)}), frozenset({(1, 2)}), frozenset({(0, 1), (2, 3)}))
+        assert verify_lemmas(g, t, 2).ok
+        with pytest.raises(ValueError, match="not a maximum"):
+            verify_lemmas(g, t, 3)
 
     def test_random_canonical_triples_pass(self):
         checked = 0
@@ -280,7 +288,7 @@ class TestVerifyLemmas:
             g = gen_random(5 + i % 4, 0.4, 13_000 + i)
             if g.m > 14:
                 continue
-            rep = verify_lemmas(g, canonical_triple(g))
+            rep = verify_lemmas(g, canonical_triple(g), len(max_matching(g)))
             assert rep.ok, (g, rep.failures())
             checked += 1
         assert checked >= 40
@@ -345,7 +353,7 @@ class TestEveryCheckCanFail:
     def test_detail_names_the_witness(self, edges, m, h, h_prime, name, detail):
         g = Graph.from_edges(max(v for e in edges for v in e) + 1, edges)
         t = CanonicalTriple(frozenset(h), frozenset(h_prime), frozenset(m))
-        check = verify_lemmas(g, t).checks[name]
+        check = verify_lemmas(g, t, len(max_matching(g))).checks[name]
         assert (check.ok, check.detail) == (False, detail)
 
     def test_every_check_past_p3_is_in_the_table(self):
@@ -388,4 +396,4 @@ class TestEveryCheckCanFail:
     def test_sides_that_share_an_edge_are_refused(self):
         t = CanonicalTriple(frozenset(K2), frozenset(K2), frozenset(K2))
         with pytest.raises(ValueError, match="triple sides are not edge-disjoint"):
-            verify_lemmas(gen_complete(2), t)
+            verify_lemmas(gen_complete(2), t, 1)

@@ -19,6 +19,7 @@ from twomatch import (
     gen_gap_family,
     gen_random,
     gen_tight_family,
+    solve_pair,
     to_edge_list,
     verify_lemmas,
 )
@@ -415,9 +416,15 @@ def fake_pair(lambda2: int, alpha2: int, h, h_prime, nu: int):
     )
 
 
-def failing_lemma(g, t):
+def true_pair_with_nu(nu: int):
+    """A stand-in for ``solve_pair`` that reports the true pair with the
+    given nu."""
+    return lambda g, node_budget: solve_pair(g, node_budget)._replace(nu=nu)
+
+
+def failing_lemma(g, t, nu):
     """``verify_lemmas`` with the l4 check turned into a failure."""
-    report = verify_lemmas(g, t)
+    report = verify_lemmas(g, t, nu)
     report.checks["l4_smaller_side_size_identity"] = Verdict(False, "planted")
     return report
 
@@ -426,24 +433,30 @@ class TestCheckFailureExit1:
     """``solve`` and ``census`` share one failure rule, and exit 1 on it."""
 
     P3 = [(0, 1), (1, 2), (2, 3)]
+    TIGHT1 = sorted(gen_tight_family(gen_complete(2)).edges)
+    MISMATCH = ("lemma", "solver_vs_enumeration_mismatch")
 
     @pytest.mark.parametrize(
-        "edges, pair, lemmas, kind, detail",
+        "edges, pair, lemmas, found",
         [
-            # nu = 2 against alpha2 = 1: 4*nu > 5*alpha2.
-            ([(0, 1)], fake_pair(1, 1, [(0, 1)], [], 2), None, "ratio_bound",
-             "4*nu = 8 > 5*alpha2 = 5"),
-            # alpha2 above nu, with the ratio bound and the lemmas holding.
-            ([(0, 1)], fake_pair(1, 1, [(0, 1)], [], 0), None, "report_invariant",
-             "nu=0, alpha2=1, lambda2=1"),
-            (P3, None, failing_lemma, "lemma", "l4_smaller_side_size_identity"),
+            # nu = 2 against alpha2 = 1: 4*nu > 5*alpha2; K2's nu is 1,
+            # so the triple search disagrees too.
+            ([(0, 1)], fake_pair(1, 1, [(0, 1)], [], 2), None,
+             [("ratio_bound", "4*nu = 8 > 5*alpha2 = 5"), MISMATCH]),
+            # alpha2 above nu, with the ratio bound holding; the triple
+            # search disagrees on nu again.
+            ([(0, 1)], fake_pair(1, 1, [(0, 1)], [], 0), None,
+             [("report_invariant", "nu=0, alpha2=1, lambda2=1"), MISMATCH]),
+            (P3, None, failing_lemma, [("lemma", "l4_smaller_side_size_identity")]),
             # The solver misses lambda2 = 3 that the triple search finds.
-            (P3, fake_pair(2, 2, [(0, 1), (2, 3)], [], 2), None, "lemma",
-             "solver_vs_enumeration_mismatch"),
+            (P3, fake_pair(2, 2, [(0, 1), (2, 3)], [], 2), None, [MISMATCH]),
+            # The solver's pair is right and its nu is 4, not 5: a ratio of
+            # 1/1 that breaks no bound, caught by the triple's |m| alone.
+            (TIGHT1, true_pair_with_nu(4), None, [MISMATCH]),
         ],
-        ids=["ratio_bound", "report_invariant", "lemma", "solver_vs_enumeration_mismatch"],
+        ids=["ratio_bound", "report_invariant", "lemma", "solver_vs_enumeration_mismatch", "nu_mismatch"],
     )
-    def test_solve_and_census(self, capsys, monkeypatch, tmp_path, edges, pair, lemmas, kind, detail):
+    def test_solve_and_census(self, capsys, monkeypatch, tmp_path, edges, pair, lemmas, found):
         if pair is not None:
             monkeypatch.setattr(reports, "solve_pair", pair)
         if lemmas is not None:
@@ -455,7 +468,7 @@ class TestCheckFailureExit1:
         code, out, _ = run_cli(capsys, "census", "--input", str(path), "--no-timings")
         assert code == 1
         failures = json.loads(out)["failures"]
-        assert failures == [{"source": str(path), "kind": kind, "detail": detail}]
+        assert failures == [{"source": str(path), "kind": kind, "detail": detail} for kind, detail in found]
 
 
 class TestVerifyLemmas:

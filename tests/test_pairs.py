@@ -290,6 +290,26 @@ class TestSolvePair:
             rb = solve_pair_bruteforce(g)
             assert (r.lambda2, r.alpha2, r.route) == (rb.lambda2, rb.alpha2, "search")
 
+    def test_search_from_the_empty_pair_keeps_searching(self):
+        # With no incumbent the first leaves found are far from optimal, so
+        # each pass must go on past every improving leaf; a search that
+        # stopped at its first leaf is wrong on 106 of these 158 graphs.
+        checked = 0
+        for seed in range(200):
+            g = gen_random(7 + seed % 4, 0.35, seed)
+            if not 1 <= g.m <= PAIR_ORACLE_MAX_EDGES:
+                continue
+            deg = [g.degree(v) for v in range(g.n)]
+            nu = len(max_matching(g))
+            total_cap = min(2 * nu, sum(min(2, d) for d in deg) // 2)
+            empty = (frozenset(), frozenset())
+            (h, hp), _ = pairs._branch_and_bound(g, deg, empty, nu, total_cap, 10**8)
+            rb = solve_pair_bruteforce(g)
+            assert (len(h) + len(hp), max(len(h), len(hp))) == (rb.lambda2, rb.alpha2), g
+            assert is_matching(g, h) and is_matching(g, hp) and not h & hp
+            checked += 1
+        assert checked == 158
+
     def test_2_matching_bound_exhaustive_n5(self):
         for g in graphs_up_to(5):
             deg = [g.degree(v) for v in range(g.n)]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pickle
+import sys
 from fractions import Fraction
 
 from twomatch import (
@@ -11,8 +12,10 @@ from twomatch import (
     gen_gap_family,
     gen_tight_family,
     run_census,
+    solve_pair,
+    verify_graph,
 )
-from twomatch import reports
+from twomatch import matching, reports
 
 
 def row(source: str, nu: int, alpha2: int, status: str = "ok") -> GraphReport:
@@ -75,3 +78,40 @@ class TestRecords:
             assert type(copy) is type(value)
             assert copy == value
             assert repr(copy) == repr(value)
+
+
+def count_max_matching(monkeypatch) -> list:
+    """Rebind ``max_matching`` in every loaded twomatch module to a wrapper
+    that records each run; returns the record."""
+    runs = []
+    original = matching.max_matching
+
+    def counted(g):
+        runs.append(g)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name == "twomatch" or name.startswith("twomatch."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return runs
+
+
+class TestOneNuPerGraph:
+    def test_verify_graph_runs_the_blossom_once(self, monkeypatch):
+        g = gen_tight_family(gen_complete(2))
+        runs = count_max_matching(monkeypatch)
+        results = verify_graph(g)
+        assert len(results) == 4
+        assert len(runs) == 1
+
+    def test_lemma_path_adds_no_blossom_run(self, monkeypatch):
+        runs = count_max_matching(monkeypatch)
+        for g in (gen_complete(2), gen_gap_family(3), gen_tight_family(gen_complete(2))):
+            solve_pair(g)
+            alone = len(runs)
+            report = analyze_graph(g, with_timings=False)
+            assert report.lemmas.checked and not report.lemmas.failed
+            assert len(runs) - alone <= alone
+            runs.clear()
