@@ -19,6 +19,15 @@ def petersen() -> Graph:
     return Graph.from_edges(10, outer + inner + spokes)
 
 
+def per_pair_trap() -> Graph:
+    """A gap = 1 graph on 13 vertices (vertex 12 isolated) whose best key
+    over all optimal pairs, (3, 2), is not the best key of every pair:
+    scored on its own, some pair's best is (2, 2), and those triples fail
+    lemma checks that every maximizing triple passes."""
+    edges = "0-1 0-2 0-4 0-9 1-6 1-8 1-10 2-3 2-7 3-11 4-5 6-7 8-9"
+    return Graph.from_edges(13, (map(int, e.split("-")) for e in edges.split()))
+
+
 class AugmentingPath(NamedTuple):
     """Odd-length alternating path between two unmatched vertices.
 

@@ -26,6 +26,8 @@ from twomatch import (
 from twomatch import reports
 from twomatch.cli import main
 
+from conftest import per_pair_trap
+
 
 def cli_env() -> dict[str, str]:
     """The environment with this checkout's ``src`` first on PYTHONPATH."""
@@ -265,6 +267,28 @@ class TestCensus:
         _, out1, _ = run_cli(capsys, "solve", tight_k2_file, "--no-timings")
         _, out2, _ = run_cli(capsys, "solve", tight_k2_file, "--no-timings")
         assert out1 == out2
+
+    def test_exhaustive_n5_csv_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "census", "--exhaustive", "5", "--no-timings", "--output", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a734531e71ef06870b8c703f2d943b4462cb98b7996c48f805b60637b91f0b61"
+        )
+
+    @pytest.mark.parametrize(
+        "g, digest",
+        [
+            (gen_tight_family(gen_cycle(4)), "2442d5a20aeb2f782e7d3985796c04b342e286590fe1163f2db607074cd101d7"),
+            (gen_gap_family(3), "02688e50432cc13c754d1fc75aa8fa4a44953a752d4d0ddf718b7031258fbd74"),
+            (per_pair_trap(), "b679a3b8ae46609738f49b525313ca91a35ee114e8eff6946ac2cd0fa4022e5b"),
+        ],
+        ids=["tight2", "gap3", "per_pair_trap"],
+    )
+    def test_solve_pinned(self, capsys, monkeypatch, g, digest):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(to_edge_list(g)))
+        code, out, _ = run_cli(capsys, "solve", "-", "--no-timings")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_jobs_match_serial(self, capsys):
         serial = run_cli(capsys, "census", "--exhaustive", "3", "--no-timings")
