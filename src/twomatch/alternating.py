@@ -62,14 +62,6 @@ class AlternatingComponent(NamedTuple):
     def length(self) -> int:
         return len(self.edges)
 
-    @property
-    def start_side(self) -> str | None:
-        """Majority side for odd paths, first traversed side otherwise;
-        ``None`` for cycles."""
-        if self.kind == "cycle":
-            return None
-        return self.sides[0]
-
     def side_count(self, side: str) -> int:
         return self.sides.count(side)
 

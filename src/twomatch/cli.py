@@ -1,8 +1,9 @@
 """Command-line front end: solve, census, verify-lemmas, generate.
 
 Exit codes: 0 all checks pass, 1 check failure (``solve`` and ``census``
-both by ``GraphReport.failures``), 2 usage or parse error, 3 node budget
-exceeded, 141 standard output closed early (broken pipe).
+both by ``GraphReport.failures``; ``verify-lemmas`` on a failed check or
+a ``SolverMismatch``), 2 usage or parse error, 3 node budget exceeded,
+141 standard output closed early (broken pipe).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .graph import (
 )
 from .graph6 import Graph6Error, encode_graph6, iter_graph6, parse_graph6
 from .pairs import DEFAULT_NODE_BUDGET
-from .reports import SCHEMA_VERSION, analyze_graph, run_census, verify_graph
+from .reports import SCHEMA_VERSION, SolverMismatch, analyze_graph, run_census, verify_graph
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -219,7 +220,11 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:
     g = _load_single(args.input, args.format)
-    results = verify_graph(g)
+    try:
+        results = verify_graph(g)
+    except SolverMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     nu = len(results[0][0].m)
     alpha2 = len(results[0][0].h)
     lambda2 = alpha2 + len(results[0][0].h_prime)

@@ -97,12 +97,6 @@ class Graph(_GraphFields):
             row.sort()
         return adj
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
 
 def _paths_and_cycles(edges: Iterable[Edge]) -> list[list[int]]:
     """The paths and cycles of an edge set in which no vertex has degree
@@ -206,7 +200,7 @@ def parse_edge_list(text: str) -> Graph:
 def to_edge_list(g: Graph) -> str:
     """Serialize with an explicit ``n`` header so isolated vertices survive."""
     lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
+    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
 
 

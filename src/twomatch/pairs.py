@@ -57,8 +57,9 @@ disjoint partner in the list.  Each H of size alpha2 whose score is
 lambda2 - alpha2 is followed by every matching of that size disjoint
 from it.  When the first H is a maximum matching, alpha2 = nu and the
 triples are (H, H', H), read off the pairs with no scoring.  Otherwise
-the maximum matchings, the largest masks of the same list, meet each
-pair, and the overlaps are counted on bitmasks; the triples come out
+every pair meets every maximum matching, the largest masks of the same
+list: each (pair, M) gets the key (|M & H|, |M & H'|), counted on
+bitmasks, and the triples are those whose key is the one maximum,
 already in order.  ``canonical_triples`` turns the masks of every triple
 into edge sets, ``canonical_triple`` those of the first alone.
 ``enumerate_m2`` yields the same pairs as edge sets.
@@ -483,45 +484,29 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
     return PairResult(len(h) + len(hp), len(h), h, hp, nu, status, nodes, route)
 
 
-def _scan(g: Graph) -> list[tuple[frozenset[Edge], frozenset[Edge]]]:
-    """Every matching H of ``g`` in scan order, each with the exhaustive
-    oracle's maximum matching of the graph without H's edges."""
-    edges = sorted(g.edges)
-    return [
-        (h, max_matching_bruteforce(Graph(g.n, g.edges - h)))
-        for h in (_edge_set(edges, x) for x in _matchings(edges))
-    ]
-
-
-def _best_pair(scan: list[tuple[frozenset[Edge], frozenset[Edge]]]) -> PairResult:
-    """Best total, then largest side, with the first such scan entry as
-    the witness."""
-    best_total = 0
-    best_side = 0
-    best: tuple[frozenset[Edge], frozenset[Edge]] = (frozenset(), frozenset())
-    for h, partner in scan:
-        total = len(h) + len(partner)
-        side = max(len(h), len(partner))
-        if total > best_total or (total == best_total and side > best_side):
-            best_total = total
-            best_side = side
-            best = (h, partner) if len(h) >= len(partner) else (partner, h)
-    nu = max(len(h) for h, _ in scan)
-    return PairResult(best_total, best_side, best[0], best[1], nu)
-
-
 def solve_pair_bruteforce(g: Graph) -> PairResult:
     """Exhaustive oracle for ``solve_pair`` (graphs up to 14 edges).
 
     Every matching H is enumerated; the best disjoint partner is a
     maximum matching of the graph without H's edges, found by the
-    exhaustive matching oracle.  Totals and the larger side are read off
-    the full scan, so no dynamic-program or branch-and-bound machinery
-    is shared.
+    exhaustive matching oracle.  The best (total, larger side) wins, the
+    first H in scan order on a tie, so no dynamic-program or
+    branch-and-bound machinery is shared.
     """
     if g.m > PAIR_ORACLE_MAX_EDGES:
         raise ValueError(f"oracle ceiling is {PAIR_ORACLE_MAX_EDGES} edges")
-    return _best_pair(_scan(g))
+    edges = sorted(g.edges)
+    nu = 0
+    best_key = (0, 0)
+    best: tuple[frozenset[Edge], frozenset[Edge]] = (frozenset(), frozenset())
+    for h in (_edge_set(edges, x) for x in _matchings(edges)):
+        partner = max_matching_bruteforce(Graph(g.n, g.edges - h))
+        nu = max(nu, len(h))
+        key = (len(h) + len(partner), max(len(h), len(partner)))
+        if key > best_key:
+            best_key = key
+            best = (h, partner) if len(h) >= len(partner) else (partner, h)
+    return PairResult(*best_key, *best, nu)
 
 
 def _optimal_pairs(listed: list[int]) -> Iterator[tuple[int, int]]:
@@ -580,8 +565,11 @@ def _triple_masks(edges: list[Edge]) -> Iterator[tuple[int, int, int]]:
     Every pair of ``_optimal_pairs`` has |H| = alpha2.  So when the first
     H is a maximum matching, alpha2 = nu: the only M meeting such an H in
     nu edges is H itself, the best key is (nu, 0), and the triples are
-    (H, H', H) for each pair in order, with no scoring.  Otherwise every
-    pair is scored, since the best key needs them all.
+    (H, H', H) for each pair in order, with no scoring.  Otherwise each
+    (pair, maximum matching), pairs in order and M in order within a
+    pair, gets the key (|M & H|, |M & H'|), and every triple whose key is
+    the maximum is yielded; the maximum runs over all pairs, since the
+    best M for one pair alone can score below it.
     """
     if len(edges) > PAIR_ORACLE_MAX_EDGES:
         raise ValueError(f"graph has {len(edges)} edges, over the triple-search ceiling of {PAIR_ORACLE_MAX_EDGES}")
@@ -595,26 +583,9 @@ def _triple_masks(edges: list[Edge]) -> Iterator[tuple[int, int, int]]:
             yield a, b, a
         return
     ms = [x for x in listed if x.bit_count() == nu]
-    best = (-1, -1)
-    found: list[tuple[int, int, int]] = []
-    last = -1
-    for a, b in pairs:
-        if a != last:  # a new H: keep the matchings that meet it most
-            last = a
-            keys = [(x & a).bit_count() for x in ms]
-            top = max(keys)
-            closest = [x for x, key in zip(ms, keys) if key == top]
-        if top < best[0]:
-            continue
-        keys = [(x & b).bit_count() for x in closest]
-        key = (top, max(keys))
-        if key < best:
-            continue
-        if key > best:
-            best = key
-            found = []
-        found += [(a, b, x) for x, k in zip(closest, keys) if k == key[1]]
-    yield from found
+    scored = [(((x & a).bit_count(), (x & b).bit_count()), (a, b, x)) for a, b in pairs for x in ms]
+    best = max(key for key, _ in scored)
+    yield from (triple for key, triple in scored if key == best)
 
 
 def canonical_triples(g: Graph) -> list[CanonicalTriple]:
@@ -624,9 +595,10 @@ def canonical_triples(g: Graph) -> list[CanonicalTriple]:
     The matchings are listed once, as edge bitmasks; the optimal pairs of
     ``_optimal_pairs`` and the maximum matchings, those of largest size,
     both come from that list.  When alpha2 = nu the triples are
-    (h, h_prime, h) for each pair, with nothing scored.  Otherwise, per
-    H, only the maximum matchings with the largest |m & h| are scored
-    against h_prime.  The pairs come H first, then h_prime, and the
+    (h, h_prime, h) for each pair, with nothing scored.  Otherwise every
+    (pair, maximum matching) is scored, and the triples are those whose
+    key equals the one maximum over them all.  The pairs come H first,
+    then h_prime, and the
     matchings in take-then-skip order over sorted edges, which for sets
     of one size is lexicographic order of their sorted edges.  So the
     triples come out sorted by (h, h_prime, m) as sorted edge tuples, with

@@ -34,6 +34,7 @@ __all__ = [
     "GraphReport",
     "CensusSummary",
     "SCHEMA_VERSION",
+    "SolverMismatch",
     "analyze_graph",
     "verify_graph",
     "run_census",
@@ -213,10 +214,20 @@ def analyze_graph(
     )
 
 
+class SolverMismatch(Exception):
+    """The blossom's nu and the triples' |m| disagree: a check failure, as
+    ``solver_vs_enumeration_mismatch`` is in a report, not a bad input."""
+
+
 def verify_graph(g: Graph) -> list[tuple[CanonicalTriple, LemmaReport]]:
-    """Run the lemma suite over every maximizing triple of ``g``, with one nu."""
+    """Run the lemma suite over every maximizing triple of ``g``, with one
+    nu, the blossom's; raises ``SolverMismatch`` when the triples' |m|
+    differs from it."""
     nu = len(max_matching(g))
-    return [(t, verify_lemmas(g, t, nu)) for t in canonical_triples(g)]
+    triples = canonical_triples(g)
+    if len(triples[0].m) != nu:
+        raise SolverMismatch(f"solver_vs_enumeration_mismatch: blossom nu {nu}, triples' |m| {len(triples[0].m)}")
+    return [(t, verify_lemmas(g, t, nu)) for t in triples]
 
 
 class CensusSummary(NamedTuple):

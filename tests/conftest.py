@@ -4,7 +4,6 @@ import random
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-import pytest
 from hypothesis import strategies as st
 
 from twomatch import Graph, Verdict, decompose, edge, matching_violation, max_matching
@@ -127,11 +126,6 @@ def check_property_3(g: Graph, m: Iterable, h: Iterable) -> Verdict:
 def check_property_4(g: Graph, h: Iterable, h_prime: Iterable) -> Verdict:
     """Property 4 of the lemma suite for an optimal pair, decomposed here."""
     return _property_4(decompose(g, h, h_prime))
-
-
-@pytest.fixture(scope="session")
-def petersen_graph() -> Graph:
-    return petersen()
 
 
 def greedy_matching(g: Graph, seed: int, keep: float = 0.7) -> frozenset:

@@ -53,7 +53,7 @@ class TestDecompose:
         assert len(d.odd_paths_a) == 1
         comp = d.odd_paths_a[0]
         assert comp.edges == ((0, 1), (1, 2), (2, 3))
-        assert comp.start_side == "A"
+        assert (comp.kind, comp.sides[0]) == ("odd_path", "A")
         assert not d.odd_paths_b and not d.cycles and not d.even_paths
 
     def test_isolated_edge_is_odd_path_on_its_side(self):
@@ -72,7 +72,7 @@ class TestDecompose:
         assert comp.length == 4
         assert comp.vertices[0] == 0  # starts at smallest vertex
         assert comp.vertices[1] == 1  # oriented toward the smaller neighbor
-        assert comp.start_side is None
+        assert comp.kind == "cycle"
 
     def test_invalid_matching_rejected(self):
         g = gen_path(3)

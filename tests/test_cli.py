@@ -515,6 +515,15 @@ class TestVerifyLemmas:
         assert code == 0
         assert json.loads(out)["triple_count"] == 1
 
+    def test_nu_mismatch_is_a_check_failure(self, capsys, monkeypatch):
+        # A blossom that drops an edge disagrees with the triples' |m|.
+        blossom = reports.max_matching
+        monkeypatch.setattr(reports, "max_matching", lambda g: frozenset(sorted(blossom(g))[1:]))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(to_edge_list(gen_tight_family(gen_complete(2)))))
+        code, out, err = run_cli(capsys, "verify-lemmas", "-")
+        assert (code, out) == (1, "")
+        assert err == "error: solver_vs_enumeration_mismatch: blossom nu 4, triples' |m| 5\n"
+
     def test_over_ceiling_refused(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
         path.write_text(to_edge_list(gen_tight_family(gen_cycle(4))))

@@ -24,12 +24,14 @@ from twomatch import (
     maximum_matchings,
     solve_pair,
     solve_pair_bruteforce,
+    verify_graph,
+    verify_lemmas,
 )
 
 from twomatch import matching, pairs
 from twomatch.pairs import _frontier_dp, _frontier_order, _max_2_matching, _pair_from_2_matching
 
-from conftest import all_matchings_by_filtering, graphs
+from conftest import all_matchings_by_filtering, graphs, per_pair_trap
 
 
 def pair_optima_by_filtering(g: Graph) -> tuple[int, int, set]:
@@ -106,7 +108,7 @@ def search_only(monkeypatch):
 
 def forced_dp(g: Graph, node_budget: int = 10**8):
     """The frontier dynamic program on any graph, caps or not."""
-    program = _frontier_order(g, [g.degree(v) for v in range(g.n)], g.n)
+    program = _frontier_order(g, [len(a) for a in g.adjacency()], g.n)
     return _frontier_dp(program, g.m, node_budget)
 
 
@@ -299,7 +301,7 @@ class TestSolvePair:
             g = gen_random(7 + seed % 4, 0.35, seed)
             if not 1 <= g.m <= PAIR_ORACLE_MAX_EDGES:
                 continue
-            deg = [g.degree(v) for v in range(g.n)]
+            deg = [len(a) for a in g.adjacency()]
             nu = len(max_matching(g))
             total_cap = min(2 * nu, sum(min(2, d) for d in deg) // 2)
             empty = (frozenset(), frozenset())
@@ -312,7 +314,7 @@ class TestSolvePair:
 
     def test_2_matching_bound_exhaustive_n5(self):
         for g in graphs_up_to(5):
-            deg = [g.degree(v) for v in range(g.n)]
+            deg = [len(a) for a in g.adjacency()]
             two = _max_2_matching(g, deg)
             assert two <= g.edges
             assert all(sum(v in e for e in two) <= 2 for v in range(g.n))
@@ -321,7 +323,7 @@ class TestSolvePair:
 
     def test_2_matching_colored_into_a_pair_exhaustive_n5(self):
         for g in graphs_up_to(5):
-            two = _max_2_matching(g, [g.degree(v) for v in range(g.n)])
+            two = _max_2_matching(g, [len(a) for a in g.adjacency()])
             h, hp = _pair_from_2_matching(two)
             assert is_matching(g, h) and is_matching(g, hp)
             assert not h & hp and h | hp <= two
@@ -618,12 +620,45 @@ class TestCanonicalTriple:
         assert seen == {True, False}
 
 
+class TestMaximumOverAllPairs:
+    """On ``per_pair_trap`` the best key over all optimal pairs, (3, 2), is
+    above the best key of some pairs, so a best M per pair is not enough."""
+
+    def test_canonical_triples_pass_every_check(self):
+        results = verify_graph(per_pair_trap())
+        assert len(results) == 4
+        for t, report in results:
+            assert (len(t.m & t.h), len(t.m & t.h_prime)) == (3, 2)
+            assert (len(report.checks), report.failures()) == (15, [])
+
+    def test_a_best_m_per_pair_fails_six_checks(self):
+        g = per_pair_trap()
+        nu = len(max_matching(g))
+        ms = maximum_matchings(g)
+        per_pair = []
+        for h, hp in enumerate_m2(g):
+            keys = [(len(m & h), len(m & hp)) for m in ms]
+            per_pair += [CanonicalTriple(h, hp, m) for m, key in zip(ms, keys) if key == max(keys)]
+        failed = [report.failures() for report in (verify_lemmas(g, t, nu) for t in per_pair)]
+        assert len(per_pair) == 10
+        assert [names for names in failed if names] == 2 * [
+            [
+                "l2_two_smaller_side_neighbors",
+                "l3_core_odd_paths_only",
+                "l5_long_paths_end_edges",
+                "c3_path_vertices_covered",
+                "l6a_launched_paths",
+                "r1_ratio_chain",
+            ]
+        ]
+
+
 def test_oracle_is_off_the_production_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("oracle called on the production path")
 
     monkeypatch.setattr(pairs, "max_matching_bruteforce", refuse)
-    monkeypatch.setattr(pairs, "_scan", refuse)
+    monkeypatch.setattr(pairs, "solve_pair_bruteforce", refuse)
     for g in tight_and_pendant():
         lemmas = analyze_graph(g, with_timings=False).lemmas
         assert (lemmas.checked, lemmas.passed, lemmas.failed) == (True, 15, 0)
