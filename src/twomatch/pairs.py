@@ -489,8 +489,8 @@ def solve_pair_bruteforce(g: Graph) -> PairResult:
 
     Every matching H is enumerated; the best disjoint partner is a
     maximum matching of the graph without H's edges, found by the
-    exhaustive matching oracle.  The best (total, larger side) wins, the
-    first H in scan order on a tie, so no dynamic-program or
+    exhaustive matching oracle.  The witness is the first H in scan order
+    with the best (total, larger side).  No dynamic-program or
     branch-and-bound machinery is shared.
     """
     if g.m > PAIR_ORACLE_MAX_EDGES:
@@ -598,13 +598,12 @@ def canonical_triples(g: Graph) -> list[CanonicalTriple]:
     (h, h_prime, h) for each pair, with nothing scored.  Otherwise every
     (pair, maximum matching) is scored, and the triples are those whose
     key equals the one maximum over them all.  The pairs come H first,
-    then h_prime, and the
-    matchings in take-then-skip order over sorted edges, which for sets
-    of one size is lexicographic order of their sorted edges.  So the
-    triples come out sorted by (h, h_prime, m) as sorted edge tuples, with
-    no sort afterwards, and the first is the canonical representative.
-    Only the masks of the triples returned become edge sets, each
-    distinct mask once.
+    then h_prime, and the matchings in take-then-skip order over sorted
+    edges, which for sets of one size is lexicographic order of their
+    sorted edges.  So the triples come out sorted by (h, h_prime, m) as
+    sorted edge tuples, with no sort afterwards, and the first is the
+    canonical representative.  Only the masks of the triples returned
+    become edge sets, each distinct mask once.
     """
     edges = sorted(g.edges)
     found = list(_triple_masks(edges))

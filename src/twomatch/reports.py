@@ -225,8 +225,9 @@ def verify_graph(g: Graph) -> list[tuple[CanonicalTriple, LemmaReport]]:
     differs from it."""
     nu = len(max_matching(g))
     triples = canonical_triples(g)
-    if len(triples[0].m) != nu:
-        raise SolverMismatch(f"solver_vs_enumeration_mismatch: blossom nu {nu}, triples' |m| {len(triples[0].m)}")
+    size = len(triples[0].m)
+    if size != nu:
+        raise SolverMismatch(f"solver_vs_enumeration_mismatch: blossom nu {nu}, triples' |m| {size}")
     return [(t, verify_lemmas(g, t, nu)) for t in triples]
 
 
