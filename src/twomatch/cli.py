@@ -29,7 +29,14 @@ from .graph import (
 )
 from .graph6 import Graph6Error, encode_graph6, iter_graph6, parse_graph6
 from .pairs import DEFAULT_NODE_BUDGET
-from .reports import SCHEMA_VERSION, SolverMismatch, analyze_graph, run_census, verify_graph
+from .reports import (
+    SCHEMA_VERSION,
+    CensusItem,
+    SolverMismatch,
+    analyze_graph,
+    run_census,
+    verify_graph,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -165,30 +172,40 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _census_corpus(args: argparse.Namespace) -> tuple[str, list[tuple[str, Graph]]]:
+def _census_corpus(args: argparse.Namespace) -> tuple[str, list[CensusItem]]:
+    """The corpus name and its recipes ``(source, make, args)``: generated
+    graphs travel as their generator and its arguments, so ``run_census``
+    builds them where it analyzes them; graphs read or enumerated here
+    travel as ``(Graph, (n, edges))``."""
     if args.exhaustive is not None:
         n = args.exhaustive
-        items = [(f"n{n}#{i}", g) for i, g in enumerate(enumerate_graphs(n))]
+        items = [(f"n{n}#{i}", Graph, (g.n, g.edges)) for i, g in enumerate(enumerate_graphs(n))]
         return f"exhaustive n={n}", items
     if args.random is not None:
         n, p, count = int(args.random[0]), float(args.random[1]), int(args.random[2])
         if count < 0:
             raise ValueError(f"--random COUNT must be at least 0, got {count}")
+        # gen_random's checks and messages, made before any graph is built.
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"edge probability {p} outside [0, 1]")
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
         items = [
-            (f"random(n={n},p={p},seed={args.seed + i})", gen_random(n, p, args.seed + i))
+            (f"random(n={n},p={p},seed={args.seed + i})", gen_random, (n, p, args.seed + i))
             for i in range(count)
         ]
         return f"random n={n} p={p} count={count} seed={args.seed}", items
     if args.family is not None:
         lo, hi = _parse_k_range(args.k_range)
         family = _ONE_INTEGER[args.family]
-        items = [(f"{args.family}(k={k})", family(k)) for k in range(lo, hi + 1)]
+        items = [(f"{args.family}(k={k})", family, (k,)) for k in range(lo, hi + 1)]
         return f"family {args.family} k={lo}..{hi}", items
     text = _read_text(args.input)
     if args.format == "graph6":
-        items = [(f"{args.input}#{i}", g) for i, g in enumerate(iter_graph6(text))]
+        items = [(f"{args.input}#{i}", Graph, (g.n, g.edges)) for i, g in enumerate(iter_graph6(text))]
     else:
-        items = [(args.input, parse_edge_list(text))]
+        g = parse_edge_list(text)
+        items = [(args.input, Graph, (g.n, g.edges))]
     return f"file {args.input}", items
 
 

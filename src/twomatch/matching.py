@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .graph import Edge, Graph, edge
+from .graph import Edge, Graph
 
 __all__ = [
     "matching_violation",
@@ -144,23 +144,42 @@ def max_matching(g: Graph) -> frozenset[Edge]:
 
     Tie-breaking is fixed: greedy seeding over lexicographically sorted
     edges, then one augmenting-path search per exposed vertex in
-    ascending order with ascending adjacency scans.
+    ascending order with ascending adjacency scans.  The pass over the
+    sorted edges that seeds the matching also fills the adjacency rows,
+    which come out ascending with no sort: a vertex's lower neighbors
+    arrive before its higher ones.
+
+    The searches stop once fewer than two live exposed vertices are left,
+    since an augmenting path joins two of them.  An exposed vertex is live
+    until a search from it fails: then no augmenting path ends at it, now
+    or after later augmentations (Edmonds), so it is never matched.  Every
+    search skipped would have failed, so the matching is the one a search
+    from every exposed vertex gives.
     """
-    adj = g.adjacency()
-    match = [-1] * g.n
+    n = g.n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    match = [-1] * n
     for u, v in sorted(g.edges):
+        adj[u].append(v)
+        adj[v].append(u)
         if match[u] == -1 and match[v] == -1:
             match[u] = v
             match[v] = u
-    for root in range(g.n):
+    live = match.count(-1) - adj.count([])  # exposed, less the isolated
+    for root in range(n):
+        if live < 2:
+            break
         if match[root] == -1 and adj[root]:
             walk = _find_path_from(adj, match, root)
-            if walk is not None:
-                for k in range(0, len(walk) - 1, 2):
-                    a, b = walk[k], walk[k + 1]
-                    match[a] = b
-                    match[b] = a
-    return frozenset(edge(v, match[v]) for v in range(g.n) if match[v] > v)
+            if walk is None:
+                live -= 1
+                continue
+            live -= 2
+            for k in range(0, len(walk) - 1, 2):
+                a, b = walk[k], walk[k + 1]
+                match[a] = b
+                match[b] = a
+    return frozenset([(v, w) for v, w in enumerate(match) if w > v])
 
 
 def max_matching_bruteforce(g: Graph) -> frozenset[Edge]:

@@ -8,14 +8,15 @@ failure rule: a broken ratio bound, optima out of order, or a lemma
 failure.  A census maps the analysis over a corpus, aggregates exact
 maxima and histograms over the certified rows, and collects those
 failures; graphs are independent, so sweeps parallelize over a worker
-pool with input order preserved in the output.
+pool with input order preserved in the output.  A census item is a
+recipe for its graph, which is built where it is analyzed.
 """
 
 from __future__ import annotations
 
 from math import gcd
 from time import perf_counter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .alternating import LemmaReport, verify_lemmas
 from .graph import Graph
@@ -269,15 +270,21 @@ class CensusSummary(NamedTuple):
         return doc
 
 
-def _census_worker(item: tuple[str, Graph, int, bool]) -> GraphReport:
-    source, g, node_budget, lemmas = item
+#: A census item: the graph's source name and its recipe, ``make(*args)``.
+CensusItem = tuple[str, Callable[..., Graph], tuple]
+
+
+def _census_worker(item: tuple[str, Callable[..., Graph], tuple, int, bool]) -> GraphReport:
+    """Build one graph from its recipe, ``make(*args)``, and analyze it
+    without timings; the one per-graph path, in a pool worker or in-process."""
+    source, make, args, node_budget, lemmas = item
     return analyze_graph(
-        g, source, node_budget=node_budget, lemmas=lemmas, with_timings=False
+        make(*args), source, node_budget=node_budget, lemmas=lemmas, with_timings=False
     )
 
 
 def run_census(
-    items: Sequence[tuple[str, Graph]],
+    items: Sequence[CensusItem],
     *,
     corpus: str = "",
     jobs: int = 1,
@@ -285,9 +292,17 @@ def run_census(
     lemmas: bool = True,
     with_timings: bool = True,
 ) -> tuple[CensusSummary, list[GraphReport]]:
-    """Analyze every (source, graph) pair; row order follows input order."""
+    """Analyze every graph of a corpus; row order follows input order.
+
+    Each item is a recipe ``(source, make, args)``: the graph is
+    ``make(*args)``, built where it is analyzed.  At ``jobs > 1`` the
+    recipes, not the graphs, are pickled to the pool, so the workers
+    generate the graphs too; ``make`` must then be a module-level function
+    (``Graph`` itself, for a graph already in hand, as ``(Graph, (g.n,
+    g.edges))``).  ``jobs = 1`` runs the same worker function in-process.
+    """
     start = perf_counter()
-    packed = [(src, g, node_budget, lemmas) for src, g in items]
+    packed = [(src, make, args, node_budget, lemmas) for src, make, args in items]
     if jobs > 1 and len(packed) > 1:
         import multiprocessing  # here, so that no serial run pays to load it
 

@@ -23,7 +23,7 @@ from twomatch import (
     to_edge_list,
     verify_lemmas,
 )
-from twomatch import reports
+from twomatch import cli, reports
 from twomatch.cli import main
 
 from conftest import per_pair_trap
@@ -290,11 +290,25 @@ class TestCensus:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_jobs_match_serial(self, capsys):
-        serial = run_cli(capsys, "census", "--exhaustive", "3", "--no-timings")
-        parallel = run_cli(capsys, "census", "--exhaustive", "3", "--jobs", "2", "--no-timings")
-        assert serial[0] == 0
-        assert serial == parallel
+    def test_jobs_match_serial(self, capsys, tmp_path):
+        # Generated graphs are built in the workers from their recipes,
+        # read ones are sent as (Graph, (n, edges)); both must give the
+        # serial bytes.
+        path = tmp_path / "corpus.g6"
+        path.write_text("".join(encode_graph6(gen_random(4 + s % 5, 0.4, s)) + "\n" for s in range(30)))
+        corpora = [
+            ["--exhaustive", "3"],
+            ["--random", "7", "0.5", "200", "--seed", "5"],
+            ["--family", "tight", "--k-range", "1:3"],
+            ["--input", str(path), "--format", "graph6"],
+        ]
+        for corpus in corpora:
+            for output in ("json", "csv"):
+                argv = ["census", *corpus, "--output", output, "--no-timings"]
+                serial = run_cli(capsys, *argv, "--jobs", "1")
+                parallel = run_cli(capsys, *argv, "--jobs", "2")
+                assert serial[0] == 0
+                assert serial == parallel
 
     def test_family_gap(self, capsys):
         code, out, _ = run_cli(
@@ -387,6 +401,24 @@ class TestCensus:
         assert code == 2
         assert out == ""
         assert "COUNT" in err
+
+    @pytest.mark.parametrize("count", ["0", "2"])
+    @pytest.mark.parametrize(
+        "n, p, message",
+        [
+            ("7", "1.5", "error: edge probability 1.5 outside [0, 1]"),
+            ("7", "-0.5", "error: edge probability -0.5 outside [0, 1]"),
+            ("7", "nan", "error: edge probability nan outside [0, 1]"),
+            ("-1", "0.5", "error: vertex count must be non-negative"),
+        ],
+    )
+    def test_bad_random_parameters_are_usage_errors(self, capsys, monkeypatch, n, p, count, message):
+        # Refused before any graph is built or the pool starts, whatever COUNT.
+        started = []
+        monkeypatch.setattr(cli, "run_census", lambda *a, **k: started.append(a))
+        code, out, err = run_cli(capsys, "census", "--random", n, p, count, "--jobs", "2")
+        assert (code, out, err) == (2, "", message + "\n")
+        assert started == []
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from twomatch import (
     max_matching_bruteforce,
     maximum_matchings,
 )
+from twomatch import matching
 from twomatch.matching import _edge_set, _matchings
 
 from conftest import (
@@ -125,6 +128,63 @@ class TestMaxMatching:
         for i in range(50):
             g = gen_random(3 + i % 8, 0.6, i)
             assert len(max_matching(g)) <= g.n // 2
+
+
+def matching_digest(graphs) -> str:
+    """sha256 over each graph's blossom matching, sorted, one line per graph."""
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update((" ".join(f"{u}-{v}" for u, v in sorted(max_matching(g))) + "\n").encode())
+    return h.hexdigest()
+
+
+class TestExactMatchings:
+    """Node counts, witnesses and report digests all depend on which maximum
+    matching the blossom returns, so its edge sets are pinned, not only
+    their sizes."""
+
+    def test_every_graph_up_to_six_vertices(self):
+        corpus = (g for n in range(7) for g in enumerate_graphs(n))
+        assert matching_digest(corpus) == "889aec3f656b3767bab52451721dcca6486702bc8cd3b548139a65ef82db0f00"
+
+    def test_seeded_random_corpus(self):
+        corpus = (gen_random(5 + i % 36, (0.1, 0.2, 0.35, 0.5)[i % 4], 9_000 + i) for i in range(1000))
+        assert matching_digest(corpus) == "713e1ee462e0342bf6e9dbf8eacc102f576858bcabc69c170e9d5bc62cb1745e"
+
+
+def count_searches(monkeypatch) -> list[int]:
+    """Rebind ``matching._find_path_from``, which ``max_matching`` looks up
+    on each call, to a wrapper that records every root searched."""
+    roots = []
+    original = matching._find_path_from
+
+    def counted(adj, match, root):
+        roots.append(root)
+        return original(adj, match, root)
+
+    monkeypatch.setattr(matching, "_find_path_from", counted)
+    return roots
+
+
+class TestSearches:
+    @pytest.mark.parametrize(
+        "g, roots, expect",
+        [
+            # Greedy seeds 0-1 and 2-3; vertex 4 alone is exposed.
+            (gen_cycle(5), [], {(0, 1), (2, 3)}),
+            # P4 seeded on its middle edge 0-1, as in test_p4_middle_edge:
+            # the search from 2 augments.
+            (Graph(4, frozenset({(0, 1), (0, 2), (1, 3)})), [2], {(0, 2), (1, 3)}),
+            # Star with center 0: the search from 2 fails, so 3 is the last
+            # live exposed vertex and is not searched.
+            (Graph(4, frozenset({(0, 1), (0, 2), (0, 3)})), [2], {(0, 1)}),
+        ],
+        ids=["c5", "p4_middle_edge", "star"],
+    )
+    def test_only_searches_that_can_succeed(self, monkeypatch, g, roots, expect):
+        searched = count_searches(monkeypatch)
+        assert max_matching(g) == expect
+        assert searched == roots
 
 
 class TestBruteforceOracle:

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 from twomatch import (
+    Graph,
     GraphReport,
     LemmaSummary,
     analyze_graph,
@@ -40,7 +41,7 @@ def census_of(monkeypatch, rows: list[GraphReport]):
     """``run_census`` over the given rows, in order, with nothing solved."""
     by_source = {r.source: r for r in rows}
     monkeypatch.setattr(reports, "_census_worker", lambda item: by_source[item[0]])
-    summary, _ = run_census([(r.source, None) for r in rows], with_timings=False)
+    summary, _ = run_census([(r.source, None, ()) for r in rows], with_timings=False)
     return summary.max_ratio, summary.max_ratio_source
 
 
@@ -72,7 +73,7 @@ class TestRecords:
     def test_pickle_round_trip(self):
         g = gen_tight_family(gen_complete(2))
         report = analyze_graph(g, "tight", with_timings=False, with_witness=True)
-        summary, _ = run_census([("gap", gen_gap_family(3)), ("tight", g)], corpus="mixed")
+        summary, _ = run_census([("gap", gen_gap_family, (3,)), ("tight", Graph, (g.n, g.edges))], corpus="mixed")
         for value in (g, report, summary):
             copy = pickle.loads(pickle.dumps(value))
             assert type(copy) is type(value)
