@@ -62,9 +62,6 @@ class AlternatingComponent(NamedTuple):
     def length(self) -> int:
         return len(self.edges)
 
-    def side_count(self, side: str) -> int:
-        return self.sides.count(side)
-
 
 class Decomposition(NamedTuple):
     """Classification of two matchings' union: shared edges plus the
@@ -75,9 +72,6 @@ class Decomposition(NamedTuple):
     even_paths: tuple[AlternatingComponent, ...]
     odd_paths_a: tuple[AlternatingComponent, ...]
     odd_paths_b: tuple[AlternatingComponent, ...]
-
-    def components(self) -> tuple[AlternatingComponent, ...]:
-        return self.cycles + self.even_paths + self.odd_paths_a + self.odd_paths_b
 
     def paths(self) -> tuple[AlternatingComponent, ...]:
         return self.even_paths + self.odd_paths_a + self.odd_paths_b
@@ -140,13 +134,13 @@ def check_property_1(d: Decomposition) -> Verdict:
     starting side exceeds the other by exactly one."""
     bad: list[str] = []
     for c in d.cycles + d.even_paths:
-        if c.side_count("A") != c.side_count("B"):
+        if c.sides.count("A") != c.sides.count("B"):
             bad.append(f"{c.kind} {c.edges} has unbalanced sides")
     for c in d.odd_paths_a:
-        if c.side_count("A") != c.side_count("B") + 1:
+        if c.sides.count("A") != c.sides.count("B") + 1:
             bad.append(f"odd path {c.edges} lacks the one-edge A surplus")
     for c in d.odd_paths_b:
-        if c.side_count("B") != c.side_count("A") + 1:
+        if c.sides.count("B") != c.sides.count("A") + 1:
             bad.append(f"odd path {c.edges} lacks the one-edge B surplus")
     return _verdict(bad)
 
@@ -342,17 +336,19 @@ def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
     checks["p4_optimal_pair_paths"] = _property_4(d_hhp)
     checks["l1_only_odd_m_paths"] = _odd_paths_only(d_mh, d_mh.odd_paths_b, "the larger side")
 
-    shared = m & h
+    shared = d_mh.shared
     checks["c1_shared_complement"] = _verdict(
         []
         if shared == m - art.m_a and shared == h - art.h_a
         else [f"shared {sorted(shared)} vs {sorted(m - art.m_a)} and {sorted(h - art.h_a)}"]
     )
 
+    # h_prime is a matching, so each vertex meets at most one of its edges.
+    hp_covered = {w for f in hp for w in f}
     bad = []
     for e in sorted(art.m_a - hp):
         u, v = e
-        touching = sum(1 for f in hp if u in f or v in f)
+        touching = (u in hp_covered) + (v in hp_covered)
         if touching != 2:
             bad.append(f"edge {e} meets {touching} smaller-side edges")
     checks["l2_two_smaller_side_neighbors"] = _verdict(bad)
@@ -381,7 +377,7 @@ def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
             f"vertex {v} of path {c.edges} meets no smaller-side edge"
             for c in d_mh.paths()
             for v in c.vertices
-            if not any(v in f for f in hp)
+            if v not in hp_covered
         ]
     )
 

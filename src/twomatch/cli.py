@@ -17,6 +17,7 @@ from typing import Iterable
 
 from .graph import (
     Graph,
+    _check_gnp,
     gen_complete,
     gen_cycle,
     gen_gap_family,
@@ -33,6 +34,7 @@ from .reports import (
     SCHEMA_VERSION,
     CensusItem,
     SolverMismatch,
+    _edge_lists,
     analyze_graph,
     run_census,
     verify_graph,
@@ -44,20 +46,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports it
 
-_CSV_COLUMNS = [
-    "source",
-    "n",
-    "m",
-    "nu",
-    "lambda2",
-    "alpha2",
-    "ratio",
-    "ratio_ok",
-    "status",
-    "lemmas_passed",
-    "lemmas_failed",
-    "lemmas_skipped",
-]
+_CSV_COLUMNS = (
+    "source", "n", "m", "nu", "lambda2", "alpha2", "ratio", "ratio_ok", "status",
+    "lemmas_passed", "lemmas_failed", "lemmas_skipped",
+)
 
 
 def _read_text(path: str) -> str:
@@ -81,29 +73,29 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _csv_row(r) -> dict:
+def _csv_row(r) -> tuple:
+    """One report as a CSV row, in ``_CSV_COLUMNS`` order."""
     lem = r.lemmas
-    return {
-        "source": r.source,
-        "n": r.n,
-        "m": r.m,
-        "nu": r.nu,
-        "lambda2": r.lambda2,
-        "alpha2": r.alpha2,
-        "ratio": r.ratio or "",
-        "ratio_ok": "" if r.ratio_ok is None else int(r.ratio_ok),
-        "status": r.status,
-        "lemmas_passed": lem.passed if lem.checked else "",
-        "lemmas_failed": lem.failed if lem.checked else "",
-        "lemmas_skipped": "" if lem.checked else (lem.skipped_reason or ""),
-    }
+    return (
+        r.source,
+        r.n,
+        r.m,
+        r.nu,
+        r.lambda2,
+        r.alpha2,
+        r.ratio or "",
+        "" if r.ratio_ok is None else int(r.ratio_ok),
+        r.status,
+        lem.passed if lem.checked else "",
+        lem.failed if lem.checked else "",
+        "" if lem.checked else (lem.skipped_reason or ""),
+    )
 
 
-def _write_csv(rows: Iterable[dict]) -> None:
-    writer = csv.DictWriter(sys.stdout, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+def _write_csv(rows: Iterable[tuple]) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(_CSV_COLUMNS)
+    writer.writerows(rows)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -144,6 +136,21 @@ _ONE_INTEGER = {
     "gap": gen_gap_family,
 }
 
+#: The parameters each ``generate`` kind takes, by name, in help order.
+_GENERATE_PARAMS = {
+    "path": "N", "cycle": "N", "complete": "N", "random": "N P", "tight": "K", "gap": "K", "enumerate": "N"
+}
+
+
+def _number(parse, text: str, name: str):
+    """``parse(text)``, for ``parse`` of ``int`` or ``float``; a text that
+    does not parse is a ``ValueError`` naming the argument ``name``."""
+    try:
+        return parse(text)
+    except ValueError:
+        expected = "an integer" if parse is int else "a number"
+        raise ValueError(f"{name} must be {expected}, got {text!r}") from None
+
 
 def _int_at_least(low: int):
     """An argparse type: an integer no smaller than ``low``."""
@@ -182,14 +189,12 @@ def _census_corpus(args: argparse.Namespace) -> tuple[str, list[CensusItem]]:
         items = [(f"n{n}#{i}", Graph, (g.n, g.edges)) for i, g in enumerate(enumerate_graphs(n))]
         return f"exhaustive n={n}", items
     if args.random is not None:
-        n, p, count = int(args.random[0]), float(args.random[1]), int(args.random[2])
+        n = _number(int, args.random[0], "--random N")
+        p = _number(float, args.random[1], "--random P")
+        count = _number(int, args.random[2], "--random COUNT")
         if count < 0:
             raise ValueError(f"--random COUNT must be at least 0, got {count}")
-        # gen_random's checks and messages, made before any graph is built.
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"edge probability {p} outside [0, 1]")
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+        _check_gnp(n, p)  # before any graph is built
         items = [
             (f"random(n={n},p={p},seed={args.seed + i})", gen_random, (n, p, args.seed + i))
             for i in range(count)
@@ -252,9 +257,9 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
         art = rep.artifacts
         triples.append(
             {
-                "h": [list(e) for e in sorted(triple.h)],
-                "h_prime": [list(e) for e in sorted(triple.h_prime)],
-                "m": [list(e) for e in sorted(triple.m)],
+                "h": _edge_lists(triple.h),
+                "h_prime": _edge_lists(triple.h_prime),
+                "m": _edge_lists(triple.m),
                 "ok": rep.ok,
                 "launched_paths": {
                     "count": len(art.y_paths),
@@ -285,28 +290,28 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     kind = args.kind
-    params = args.params
-    try:
-        if kind == "random":
-            graphs = [gen_random(int(params[0]), float(params[1]), args.seed)]
-        elif kind == "enumerate":
-            graphs = list(enumerate_graphs(int(params[0])))
-        else:
-            graphs = [_ONE_INTEGER[kind](int(params[0]))]
-    except IndexError:
-        print(f"error: missing parameter for generate {kind}", file=sys.stderr)
-        return EXIT_USAGE
+    names = _GENERATE_PARAMS[kind].split()
+    if len(args.params) != len(names):
+        s = "s" * (len(names) > 1)
+        raise ValueError(
+            f"generate {kind} takes {len(names)} parameter{s} ({' '.join(names)}), got {len(args.params)}"
+        )
+    values = [
+        _number(float if name == "P" else int, text, f"generate {kind} {name}")
+        for text, name in zip(args.params, names)
+    ]
+    if kind == "random":
+        graphs = [gen_random(*values, args.seed)]
+    elif kind == "enumerate":
+        graphs = list(enumerate_graphs(*values))
+    else:
+        graphs = [_ONE_INTEGER[kind](*values)]
     if args.format == "graph6":
         for g in graphs:
             print(encode_graph6(g))
+    elif len(graphs) > 1:
+        raise ValueError("edge-list output holds a single graph; use --format graph6 for enumerate")
     else:
-        if len(graphs) > 1:
-            print(
-                "error: edge-list output holds a single graph; "
-                "use --format graph6 for enumerate",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
         sys.stdout.write(to_edge_list(graphs[0]))
     return EXIT_OK
 
@@ -386,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="emit a built-in graph")
     p_gen.add_argument(
         "kind",
-        choices=["path", "cycle", "complete", "random", "tight", "gap", "enumerate"],
+        choices=list(_GENERATE_PARAMS),
     )
     p_gen.add_argument("params", nargs="*", help="kind-specific parameters")
     p_gen.add_argument("--seed", type=int, default=0, help="seed for random")
@@ -415,7 +420,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -224,6 +224,14 @@ def gen_complete(n: int) -> Graph:
     return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
+def _check_gnp(n: int, p: float) -> None:
+    """Raise ``ValueError`` unless G(n, p) is defined: p in [0, 1], n >= 0."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability {p} outside [0, 1]")
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+
+
 def gen_random(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), reproducible across platforms and runs.
 
@@ -232,8 +240,7 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
     draws one float per vertex pair in lexicographic order (0,1), (0,2),
     ..., (n-2,n-1); the pair becomes an edge iff the draw is ``< p``.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability {p} outside [0, 1]")
+    _check_gnp(n, p)
     rng = random.Random(seed)
     edges = frozenset(
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

@@ -26,7 +26,6 @@ from .graph import Edge, Graph
 
 __all__ = [
     "matching_violation",
-    "is_matching",
     "max_matching",
     "max_matching_bruteforce",
     "maximum_matchings",
@@ -52,11 +51,6 @@ def matching_violation(g: Graph, edges: Iterable[Edge]) -> str | None:
                 return f"vertex {w} covered twice (by {covered[w]} and {e})"
             covered[w] = e
     return None
-
-
-def is_matching(g: Graph, edges: Iterable[Edge]) -> bool:
-    """True iff ``edges`` is a set of pairwise non-adjacent edges of ``g``."""
-    return matching_violation(g, set(edges)) is None
 
 
 def _lca(match: list[int], base: list[int], parent: list[int], a: int, b: int) -> int:

@@ -248,10 +248,6 @@ class CensusSummary(NamedTuple):
     lemma_checked: int
     elapsed: float | None = None
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
     def to_dict(self) -> dict:
         doc = {
             "schema_version": SCHEMA_VERSION,

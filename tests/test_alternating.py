@@ -9,6 +9,7 @@ from twomatch import (
     Decomposition,
     Graph,
     LEMMA_CHECKS,
+    Verdict,
     canonical_triple,
     canonical_triples,
     check_property_1,
@@ -36,7 +37,7 @@ class TestDecompose:
         g = gen_path(3)
         d = decompose(g, {(0, 1)}, {(0, 1)})
         assert d.shared == frozenset({(0, 1)})
-        assert d.components() == ()
+        assert d.cycles + d.paths() == ()
 
     def test_p3_even_path(self):
         g = gen_path(2)
@@ -82,7 +83,7 @@ class TestDecompose:
     def test_component_order_by_smallest_vertex(self):
         g = Graph.from_edges(8, [(4, 5), (5, 6), (0, 1), (1, 2)])
         d = decompose(g, {(0, 1), (4, 5)}, {(1, 2), (5, 6)})
-        assert [min(c.vertices) for c in d.components()] == [0, 4]
+        assert [min(c.vertices) for c in d.cycles + d.paths()] == [0, 4]
 
 
 class TestPartitionInvariant:
@@ -93,7 +94,7 @@ class TestPartitionInvariant:
         d = decompose(g, a, b)
         seen = set(d.shared)
         count = len(d.shared)
-        for c in d.components():
+        for c in d.cycles + d.paths():
             for e in c.edges:
                 seen.add(e)
                 count += 1
@@ -110,7 +111,7 @@ class TestPartitionInvariant:
         for u, v in sym:
             incident.setdefault(u, []).append((u, v))
             incident.setdefault(v, []).append((u, v))
-        for c in d.components():
+        for c in d.cycles + d.paths():
             for s, t in zip(c.sides, c.sides[1:]):
                 assert s != t
             if c.kind != "cycle":
@@ -132,7 +133,12 @@ class TestPropertyCheckers:
         d = decompose(g, {(0, 1), (2, 3)}, {(1, 2)})
         assert check_property_1(d).ok
         comp = d.odd_paths_a[0]
-        assert comp.side_count("A") == 2 and comp.side_count("B") == 1
+        assert comp.sides.count("A") == 2 and comp.sides.count("B") == 1
+
+    def test_failing_verdict_is_falsy(self):
+        # A two-field tuple is truthy whatever it holds; the truth is ``ok``.
+        assert not Verdict(False, "x")
+        assert Verdict(True)
 
     def test_property_1_vacuous_on_empty(self):
         d = decompose(gen_path(3), set(), set())

@@ -420,6 +420,19 @@ class TestCensus:
         assert (code, out, err) == (2, "", message + "\n")
         assert started == []
 
+    @pytest.mark.parametrize(
+        "n, p, count, message",
+        [
+            ("x", "0.5", "3", "--random N must be an integer, got 'x'"),
+            ("7", "x", "3", "--random P must be a number, got 'x'"),
+            ("7", "0.5", "x", "--random COUNT must be an integer, got 'x'"),
+            ("7", "0.5", "2.5", "--random COUNT must be an integer, got '2.5'"),
+        ],
+    )
+    def test_bad_random_number_names_the_argument(self, capsys, n, p, count, message):
+        code, out, err = run_cli(capsys, "census", "--random", n, p, count)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
         with pytest.raises(SystemExit) as exc:
@@ -648,6 +661,33 @@ class TestGenerate:
     def test_missing_param(self, capsys):
         code, _, err = run_cli(capsys, "generate", "path")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (("path", "3", "9"), "generate path takes 1 parameter (N), got 2"),
+            (("cycle", "4", "9"), "generate cycle takes 1 parameter (N), got 2"),
+            (("complete", "4", "9"), "generate complete takes 1 parameter (N), got 2"),
+            (("tight", "3", "extra"), "generate tight takes 1 parameter (K), got 2"),
+            (("gap", "4", "9", "9"), "generate gap takes 1 parameter (K), got 3"),
+            (("enumerate", "3", "9"), "generate enumerate takes 1 parameter (N), got 2"),
+            (("random", "8", "0.4", "9"), "generate random takes 2 parameters (N P), got 3"),
+        ],
+    )
+    def test_extra_params_are_refused(self, capsys, params, message):
+        code, out, err = run_cli(capsys, "generate", *params, "--format", "graph6")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (("path", "x"), "generate path N must be an integer, got 'x'"),
+            (("random", "8", "half"), "generate random P must be a number, got 'half'"),
+        ],
+    )
+    def test_bad_number_names_the_parameter(self, capsys, params, message):
+        code, out, err = run_cli(capsys, "generate", *params)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_usage_error_exit_2():

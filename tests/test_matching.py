@@ -17,7 +17,6 @@ from twomatch import (
     gen_path,
     gen_random,
     gen_tight_family,
-    is_matching,
     matching_violation,
     max_matching,
     max_matching_bruteforce,
@@ -41,15 +40,15 @@ from conftest import (
 class TestIsMatching:
     def test_valid(self):
         p4 = gen_path(3)
-        assert is_matching(p4, {(0, 1), (2, 3)})
+        assert matching_violation(p4, {(0, 1), (2, 3)}) is None
 
     def test_shared_vertex(self):
         p4 = gen_path(3)
-        assert not is_matching(p4, {(0, 1), (1, 2)})
+        assert matching_violation(p4, {(0, 1), (1, 2)}) is not None
         assert "vertex 1" in matching_violation(p4, {(0, 1), (1, 2)})
 
     def test_empty(self):
-        assert is_matching(gen_path(3), set())
+        assert matching_violation(gen_path(3), set()) is None
 
     def test_foreign_edge(self):
         assert "not an edge" in matching_violation(gen_path(3), {(0, 2)})
@@ -72,7 +71,7 @@ class TestFindAugmentingPath:
         path = find_augmenting_path(c5, {(0, 1)})
         assert path is not None  # nu(C5)=2 > 1, so a path must exist
         bigger = augment({(0, 1)}, path)
-        assert is_matching(c5, bigger) and len(bigger) == 2
+        assert matching_violation(c5, bigger) is None and len(bigger) == 2
 
     def test_invalid_matching_rejected(self):
         with pytest.raises(ValueError, match="invalid matching"):
@@ -88,7 +87,7 @@ class TestFindAugmentingPath:
         path = find_augmenting_path(c9, m)
         assert path is not None
         bigger = augment(m, path)
-        assert is_matching(c9, bigger) and len(bigger) == len(m) + 1
+        assert matching_violation(c9, bigger) is None and len(bigger) == len(m) + 1
 
     def test_augment_rejects_a_path_of_the_wrong_parity(self):
         # 0-1-2-3 with (0, 1) and (2, 3) matched: (1, 2) sits at an odd
@@ -113,7 +112,7 @@ class TestMaxMatching:
     )
     def test_known_sizes(self, g, expect):
         m = max_matching(g)
-        assert is_matching(g, m)
+        assert matching_violation(g, m) is None
         assert len(m) == expect
 
     def test_deterministic(self):
@@ -234,7 +233,7 @@ class TestMaximumMatchings:
             ms = maximum_matchings(g)
             nu = len(max_matching(g))
             assert len(set(ms)) == len(ms)
-            assert all(len(m) == nu and is_matching(g, m) for m in ms)
+            assert all(len(m) == nu and matching_violation(g, m) is None for m in ms)
             assert set(ms) == {m for m in all_matchings_by_filtering(g) if len(m) == nu}
 
 
@@ -271,7 +270,7 @@ def test_augmenting_path_contract(data):
             assert e in g.edges
             assert (e in m) == (k % 2 == 1)
         bigger = augment(m, path)
-        assert is_matching(g, bigger)
+        assert matching_violation(g, bigger) is None
         assert len(bigger) == len(m) + 1
 
 

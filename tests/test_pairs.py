@@ -19,7 +19,7 @@ from twomatch import (
     gen_path,
     gen_random,
     gen_tight_family,
-    is_matching,
+    matching_violation,
     max_matching,
     maximum_matchings,
     solve_pair,
@@ -190,7 +190,7 @@ class TestSolvePair:
     def test_witness_valid(self):
         g = gen_random(8, 0.5, 99)
         r = solve_pair(g)
-        assert is_matching(g, r.h) and is_matching(g, r.h_prime)
+        assert matching_violation(g, r.h) is None and matching_violation(g, r.h_prime) is None
         assert not r.h & r.h_prime
         assert len(r.h) == r.alpha2 >= len(r.h_prime)
         assert len(r.h) + len(r.h_prime) == r.lambda2
@@ -308,7 +308,7 @@ class TestSolvePair:
             (h, hp), _ = pairs._branch_and_bound(g, deg, empty, nu, total_cap, 10**8)
             rb = solve_pair_bruteforce(g)
             assert (len(h) + len(hp), max(len(h), len(hp))) == (rb.lambda2, rb.alpha2), g
-            assert is_matching(g, h) and is_matching(g, hp) and not h & hp
+            assert matching_violation(g, h) is None and matching_violation(g, hp) is None and not h & hp
             checked += 1
         assert checked == 158
 
@@ -325,7 +325,7 @@ class TestSolvePair:
         for g in graphs_up_to(5):
             two = _max_2_matching(g, [len(a) for a in g.adjacency()])
             h, hp = _pair_from_2_matching(two)
-            assert is_matching(g, h) and is_matching(g, hp)
+            assert matching_violation(g, h) is None and matching_violation(g, hp) is None
             assert not h & hp and h | hp <= two
             assert len(h) >= len(hp)
             # Each odd cycle of the 2-matching loses exactly one edge.
@@ -357,7 +357,7 @@ class TestFrontierDP:
             (h, hp), _ = forced_dp(g)
             rb = solve_pair_bruteforce(g)
             assert (len(h) + len(hp), len(h)) == (rb.lambda2, rb.alpha2)
-            assert is_matching(g, h) and is_matching(g, hp) and not h & hp
+            assert matching_violation(g, h) is None and matching_violation(g, hp) is None and not h & hp
 
     def test_closed_forms(self):
         for k in range(1, 17):
