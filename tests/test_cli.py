@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from twomatch import (
+    Graph,
     PairResult,
     Verdict,
     encode_graph6,
@@ -612,12 +613,17 @@ class TestVerifyLemmas:
                 ["random", "8", "0.35", "--seed", "3"],
                 "7c0eeb541c10662077d726cd95435aa181b13db852457825dad08014771b708d",
             ),
+            (per_pair_trap(), "4b9628c831a1211c82d256cf5c775d1ea5004bacd523746ff825efe198b4a668"),
         ],
     )
     def test_every_triple_pinned(self, capsys, monkeypatch, spec, digest):
         # The report lists every maximizing triple with its checks, so this
-        # pins the triple search's output and order byte for byte.
-        _, text, _ = run_cli(capsys, "generate", *spec)
+        # pins the triple search's output and order byte for byte.  A spec
+        # is the arguments of ``generate``, or a graph to read as it is.
+        if isinstance(spec, Graph):
+            text = to_edge_list(spec)
+        else:
+            _, text, _ = run_cli(capsys, "generate", *spec)
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code, out, _ = run_cli(capsys, "verify-lemmas", "-")
         assert code == 0
