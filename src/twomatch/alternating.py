@@ -39,7 +39,6 @@ __all__ = [
     "check_property_2",
     "derive_artifacts",
     "verify_lemmas",
-    "LEMMA_CHECKS",
 ]
 
 
@@ -188,40 +187,36 @@ class TripleArtifacts(NamedTuple):
     on the odd maximum-side paths of their decomposition.  ``y_paths``:
     for each end-edge of each such odd path, the maximal (h, h_prime)
     alternating path launched from the path's outer endpoint (duplicates
-    collapsed).  ``h_y``: the last edges of those launched paths.
-    ``launch_count`` is the number of launch attempts that succeeded;
-    ``defects`` records each end-edge outside the smaller side, which on
-    a genuine canonical triple never occurs and otherwise surfaces as a
-    lemma failure.
+    collapsed).  ``defects`` records each end-edge outside the smaller
+    side, which on a genuine canonical triple never occurs and otherwise
+    surfaces as a lemma failure; every other end-edge launches a path.
     """
 
     m_a: frozenset[Edge]
     h_a: frozenset[Edge]
     y_paths: tuple[AlternatingComponent, ...]
-    h_y: frozenset[Edge]
-    launch_count: int
     defects: tuple[str, ...] = ()
 
 
-def _triple_sets(
+def _decomposed(
     g: Graph, t: CanonicalTriple
-) -> tuple[frozenset[Edge], frozenset[Edge], frozenset[Edge]]:
-    """(m, h, h_prime) of ``t`` as frozensets, each checked to be a
-    matching of ``g``, and the two sides checked to be edge-disjoint."""
+) -> tuple[frozenset[Edge], frozenset[Edge], frozenset[Edge], Decomposition, Decomposition]:
+    """(m, h, h_prime) of ``t`` as frozensets, with the decompositions of
+    (m, h) and (h, h_prime).  Those check that m, h and h_prime are
+    matchings of ``g``, in that order; the two sides are then checked to
+    be edge-disjoint."""
     m, h, hp = frozenset(t.m), frozenset(t.h), frozenset(t.h_prime)
-    for name, s in (("m", m), ("h", h), ("h_prime", hp)):
-        reason = matching_violation(g, s)
-        if reason is not None:
-            raise ValueError(f"triple component {name} invalid: {reason}")
-    if h & hp:
+    d_mh = decompose(g, m, h)
+    d_hhp = decompose(g, h, hp)
+    if d_hhp.shared:
         raise ValueError("triple sides are not edge-disjoint")
-    return m, h, hp
+    return m, h, hp, d_mh, d_hhp
 
 
 def derive_artifacts(g: Graph, t: CanonicalTriple) -> TripleArtifacts:
     """Build the odd-path edge sets and launched-path family for ``t``."""
-    m, h, hp = _triple_sets(g, t)
-    return _artifacts(hp, decompose(g, m, h), decompose(g, h, hp))
+    _, _, hp, d_mh, d_hhp = _decomposed(g, t)
+    return _artifacts(hp, d_mh, d_hhp)
 
 
 def _artifacts(hp: frozenset[Edge], d_mh: Decomposition, d_hhp: Decomposition) -> TripleArtifacts:
@@ -237,7 +232,7 @@ def _artifacts(hp: frozenset[Edge], d_mh: Decomposition, d_hhp: Decomposition) -
     h_a = frozenset(e for c in odd_m for e, s in zip(c.edges, c.sides) if s == "B")
 
     if not odd_m:  # nothing to launch from
-        return TripleArtifacts(m_a, h_a, (), frozenset(), 0)
+        return TripleArtifacts(m_a, h_a, ())
 
     # Each path of the pair difference, keyed by either end and walked
     # from it.
@@ -250,7 +245,6 @@ def _artifacts(hp: frozenset[Edge], d_mh: Decomposition, d_hhp: Decomposition) -
     defects: list[str] = []
     launched: list[AlternatingComponent] = []
     seen: set[frozenset[Edge]] = set()
-    launches = 0
     for path in odd_m:
         ends = [(path.vertices[0], path.edges[0]), (path.vertices[-1], path.edges[-1])]
         for vertex, end_edge in ends:
@@ -260,13 +254,11 @@ def _artifacts(hp: frozenset[Edge], d_mh: Decomposition, d_hhp: Decomposition) -
                 )
                 continue
             comp = from_end[vertex]
-            launches += 1
             key = frozenset(comp.edges)
             if key not in seen:
                 seen.add(key)
                 launched.append(comp)
-    h_y = frozenset(c.edges[-1] for c in launched)
-    return TripleArtifacts(m_a, h_a, tuple(launched), h_y, launches, tuple(defects))
+    return TripleArtifacts(m_a, h_a, tuple(launched), tuple(defects))
 
 
 class LemmaReport(NamedTuple):
@@ -283,26 +275,6 @@ class LemmaReport(NamedTuple):
         return [name for name, v in self.checks.items() if not v.ok]
 
 
-#: Check identifiers in report order, with one-line statements.
-LEMMA_CHECKS: dict[str, str] = {
-    "p1_component_balance": "per-component side counts balance (odd paths tip by one)",
-    "p2_count_identity": "size difference equals odd-path count difference",
-    "p3_max_matching_paths": "no odd path starts opposite a maximum matching",
-    "p4_optimal_pair_paths": "no odd path starts in the smaller side of the pair",
-    "l1_only_odd_m_paths": "max-vs-larger-side difference is odd max-started paths only",
-    "c1_shared_complement": "shared edges are exactly both sides minus their odd-path edges",
-    "l2_two_smaller_side_neighbors": "every uncovered odd-path max edge meets two smaller-side edges",
-    "l3_core_odd_paths_only": "core-vs-smaller-side difference has only smaller-started odd paths",
-    "l4_smaller_side_size_identity": "smaller side counts its odd paths plus larger-side odd-path edges plus the gap",
-    "l5_long_paths_end_edges": "odd paths have length five or more and both end-edges in the smaller side",
-    "c2_h_edges_bound": "larger-side odd-path edges number at least twice the gap",
-    "c3_path_vertices_covered": "every odd-path vertex meets a smaller-side edge",
-    "l6a_launched_paths": "launched paths: twice the gap of them, even, length four or more, last edges shared",
-    "l6b_odd_core_bound": "smaller-started odd core paths number at least the gap",
-    "r1_ratio_chain": "larger side bounds smaller side bounds twice the launched count equals four gaps",
-}
-
-
 def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
     """Evaluate every structural fact on a canonical triple exactly.
 
@@ -311,14 +283,12 @@ def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
     verdicts describe that input only.  Raises ``ValueError`` for
     malformed triples (sides not matchings, not disjoint, or |m| != nu).
     """
-    m, h, hp = _triple_sets(g, t)
+    m, h, hp, d_mh, d_hhp = _decomposed(g, t)
     if len(m) != nu:
         raise ValueError("triple component m is not a maximum matching")
 
     alpha = len(h)
     gap = nu - alpha
-    d_mh = decompose(g, m, h)
-    d_hhp = decompose(g, h, hp)
     art = _artifacts(hp, d_mh, d_hhp)
     d_core = decompose(g, art.m_a, hp)
 
@@ -382,8 +352,10 @@ def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
     )
 
     bad = list(art.defects)
-    if art.launch_count != 2 * len(d_mh.odd_paths_a):
-        bad.append(f"{art.launch_count} launches for {len(d_mh.odd_paths_a)} odd paths")
+    # Each odd path has two end-edges, and each defect is one that launched nothing.
+    if art.defects:
+        odd = len(d_mh.odd_paths_a)
+        bad.append(f"{2 * odd - len(art.defects)} launches for {odd} odd paths")
     if len(art.y_paths) != 2 * gap:
         bad.append(f"{len(art.y_paths)} distinct launched paths, expected {2 * gap}")
     for c in art.y_paths:
@@ -391,8 +363,9 @@ def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
             bad.append(f"launched path {c.edges} has odd length")
         if c.length < 4:
             bad.append(f"launched path {c.edges} has length {c.length} < 4")
-    if not art.h_y <= shared:
-        bad.append(f"launched last edges {sorted(art.h_y - shared)} not shared")
+    h_y = frozenset(c.edges[-1] for c in art.y_paths)
+    if not h_y <= shared:
+        bad.append(f"launched last edges {sorted(h_y - shared)} not shared")
     checks["l6a_launched_paths"] = _verdict(bad)
 
     core_odd = len(d_core.odd_paths_b)

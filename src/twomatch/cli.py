@@ -265,10 +265,7 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
                     "count": len(art.y_paths),
                     "lengths": [c.length for c in art.y_paths],
                 },
-                "checks": {
-                    name: {"ok": v.ok, "detail": v.detail}
-                    for name, v in rep.checks.items()
-                },
+                "checks": {name: v._asdict() for name, v in rep.checks.items()},
             }
         )
     doc = {

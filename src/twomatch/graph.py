@@ -37,6 +37,10 @@ Edge = tuple[int, int]
 #: at n=7 is the supported ceiling).
 ENUMERATION_MAX_VERTICES = 7
 
+#: Largest vertex count either input format takes: the most the
+#: three-byte graph6 header can carry.
+MAX_VERTICES = 258047
+
 
 def edge(u: int, v: int) -> Edge:
     """Return the canonical (sorted) form of an undirected edge."""
@@ -146,7 +150,8 @@ def parse_edge_list(text: str) -> Graph:
     fixes the vertex count; otherwise it is one past the largest endpoint.
     Blank lines and ``#`` comments (full-line or trailing) are ignored.
     Raises :class:`EdgeListError` with the line number for malformed
-    tokens, loops, duplicate edges, and endpoints beyond a declared count.
+    tokens, loops, duplicate edges, endpoints beyond a declared count, and
+    a count or an endpoint that would put n above ``MAX_VERTICES``.
     """
     declared: int | None = None
     seen_edge_line = False
@@ -170,6 +175,8 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListError(lineno, f"bad vertex count {tokens[1]!r}") from None
             if declared < 0:
                 raise EdgeListError(lineno, "vertex count must be non-negative")
+            if declared > MAX_VERTICES:
+                raise EdgeListError(lineno, f"vertex count {declared} above the ceiling of {MAX_VERTICES}")
             continue
         if len(tokens) != 2:
             raise EdgeListError(
@@ -186,12 +193,12 @@ def parse_edge_list(text: str) -> Graph:
         e = (u, v) if u < v else (v, u)
         if e in edges:
             raise EdgeListError(lineno, f"duplicate edge {u} {v}")
-        if declared is not None and max(u, v) >= declared:
-            raise EdgeListError(
-                lineno, f"endpoint {max(u, v)} >= declared vertex count {declared}"
-            )
+        if declared is not None and e[1] >= declared:
+            raise EdgeListError(lineno, f"endpoint {e[1]} >= declared vertex count {declared}")
+        if e[1] >= MAX_VERTICES:
+            raise EdgeListError(lineno, f"endpoint {e[1]} puts n above the ceiling of {MAX_VERTICES}")
         edges.add(e)
-        max_vertex = max(max_vertex, v if v > u else u)
+        max_vertex = max(max_vertex, e[1])
         seen_edge_line = True
     n = declared if declared is not None else max_vertex + 1
     return Graph(n, frozenset(edges))

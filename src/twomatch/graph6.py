@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 
 __all__ = ["Graph6Error", "parse_graph6", "encode_graph6", "iter_graph6", "GRAPH6_MAX_N"]
 
 #: Largest vertex count the three-byte header form can carry; the
 #: eight-byte form used beyond it is not supported.
-GRAPH6_MAX_N = 258047
+GRAPH6_MAX_N = MAX_VERTICES
 
 _HEADER_PREFIX = ">>graph6<<"
 

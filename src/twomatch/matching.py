@@ -10,11 +10,12 @@ Berge's theorem the absence of an augmenting path certifies maximality;
 over edge subsets with non-adjacency pruning, used by the test suite to
 validate the augmenting-path code and never called by it; the pair
 oracle ``pairs.solve_pair_bruteforce`` is its only other caller.
-Every listing of matchings goes through one private take-then-skip
-lister, ``_matchings``, which returns them as edge bitmasks: in
-``maximum_matchings``, in the pair oracle, and in the triple search of
-``pairs``, which lists once per graph and takes both its optimal pairs
-and its maximum matchings from that one list.
+Every listing of matchings but the pair oracle's goes through one
+private take-then-skip lister, ``_matchings``, which returns them as edge
+bitmasks: in ``maximum_matchings`` and in the triple search of ``pairs``,
+which lists once per graph and takes both its optimal pairs and its
+maximum matchings from that one list.  The pair oracle lists its own, so
+that a fault here cannot reach both sides of the check between the two.
 """
 
 from __future__ import annotations

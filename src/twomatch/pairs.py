@@ -44,10 +44,11 @@ node budget (table entries or search nodes) is reported as such, never
 silently mis-answered.
 
 ``solve_pair_bruteforce`` is the independent oracle: it enumerates every
-matching H outright and pairs it with an exhaustively computed maximum
-matching of the graph minus H's edges, sharing no code with the dynamic
-program or the branch and bound.  The package never calls it; the tests
-compare against it.
+matching H outright, by a depth-first search of its own, and pairs it
+with an exhaustively computed maximum matching of the graph minus H's
+edges, sharing no code with the dynamic program, the branch and bound or
+the triple search's lister ``_matchings``.  The package never calls it;
+the tests compare against it.
 
 The triple search runs no oracle and no ``solve_pair``.
 ``_triple_masks`` lists the matchings once per graph as edge bitmasks,
@@ -487,11 +488,13 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
 def solve_pair_bruteforce(g: Graph) -> PairResult:
     """Exhaustive oracle for ``solve_pair`` (graphs up to 14 edges).
 
-    Every matching H is enumerated; the best disjoint partner is a
-    maximum matching of the graph without H's edges, found by the
-    exhaustive matching oracle.  The witness is the first H in scan order
-    with the best (total, larger side).  No dynamic-program or
-    branch-and-bound machinery is shared.
+    Every matching H is enumerated, by a take-then-skip depth-first
+    search of its own over the sorted edges, on an explicit stack; the
+    best disjoint partner is a maximum matching of the graph without H's
+    edges, found by the exhaustive matching oracle.  The witness is the
+    first H in that order with the best (total, larger side).  No
+    dynamic-program, branch-and-bound or triple-search machinery is
+    shared.
     """
     if g.m > PAIR_ORACLE_MAX_EDGES:
         raise ValueError(f"oracle ceiling is {PAIR_ORACLE_MAX_EDGES} edges")
@@ -499,7 +502,18 @@ def solve_pair_bruteforce(g: Graph) -> PairResult:
     nu = 0
     best_key = (0, 0)
     best: tuple[frozenset[Edge], frozenset[Edge]] = (frozenset(), frozenset())
-    for h in (_edge_set(edges, x) for x in _matchings(edges)):
+    # (next edge, covered vertices as a bitmask, edges taken); the skip
+    # branch goes on the stack first, so the take branch runs first.
+    stack = [(0, 0, frozenset())]
+    while stack:
+        i, covered, h = stack.pop()
+        if i < len(edges):
+            u, v = edges[i]
+            ends = (1 << u) | (1 << v)
+            stack.append((i + 1, covered, h))
+            if not covered & ends:
+                stack.append((i + 1, covered | ends, h | {edges[i]}))
+            continue
         partner = max_matching_bruteforce(Graph(g.n, g.edges - h))
         nu = max(nu, len(h))
         key = (len(h) + len(partner), max(len(h), len(partner)))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -8,7 +10,6 @@ from twomatch import (
     CanonicalTriple,
     Decomposition,
     Graph,
-    LEMMA_CHECKS,
     Verdict,
     canonical_triple,
     canonical_triples,
@@ -28,8 +29,22 @@ from twomatch import (
     verify_lemmas,
 )
 
+from twomatch import alternating
 from twomatch.alternating import _property_3
 from conftest import check_property_3, check_property_4, graph_with_matchings, greedy_matching
+
+
+def readme_check_ids() -> list[str]:
+    """The check ids of README's check table, in its order: the rows under
+    ``| id | statement |``."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    rows = lines[lines.index("| id | statement |") + 2:]
+    ids = []
+    for row in rows:
+        if not row.startswith("| `"):
+            break
+        ids.append(row.split("`")[1])
+    return ids
 
 
 class TestDecompose:
@@ -193,10 +208,10 @@ class TestDeriveArtifacts:
         art = derive_artifacts(g, t)
         # one odd path (nu - alpha2 = 1), so two launched paths
         assert len(art.y_paths) == 2
-        assert art.launch_count == 2
+        assert 2 * len(decompose(g, t.m, t.h).odd_paths_a) - len(art.defects) == 2  # launches
         assert len(art.h_a) >= 2
         assert all(c.length >= 4 for c in art.y_paths)
-        assert art.h_y <= (frozenset(t.m) & frozenset(t.h))
+        assert {c.edges[-1] for c in art.y_paths} <= (frozenset(t.m) & frozenset(t.h))
         assert not art.defects
 
     def test_m_equals_h_degenerate(self):
@@ -220,7 +235,21 @@ class TestVerifyLemmas:
     def test_check_catalog_is_complete(self):
         g = gen_complete(2)
         rep = verify_lemmas(g, canonical_triple(g), len(max_matching(g)))
-        assert list(rep.checks) == list(LEMMA_CHECKS)
+        assert list(rep.checks) == readme_check_ids()
+
+    def test_each_matching_is_checked_by_its_decompositions(self, monkeypatch):
+        # Two runs in each of the three decompositions, none besides.
+        check = alternating.matching_violation
+        runs = []
+
+        def counted(g, s):
+            runs.append(s)
+            return check(g, s)
+
+        monkeypatch.setattr(alternating, "matching_violation", counted)
+        g = gen_tight_family(gen_complete(2))
+        verify_lemmas(g, canonical_triple(g), len(max_matching(g)))
+        assert len(runs) == 6
 
     def test_tight_family_all_pass(self):
         g = gen_tight_family(gen_complete(2))
@@ -363,7 +392,7 @@ class TestEveryCheckCanFail:
         assert (check.ok, check.detail) == (False, detail)
 
     def test_every_check_past_p3_is_in_the_table(self):
-        assert {row[4] for row in FAILING_CHECKS} == set(list(LEMMA_CHECKS)[3:])
+        assert {row[4] for row in FAILING_CHECKS} == set(readme_check_ids()[3:])
 
     @pytest.mark.parametrize(
         "d, detail",

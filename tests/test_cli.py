@@ -107,6 +107,13 @@ class TestSolve:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("text", ["0 99999999999\n", "n 99999999999\n"])
+    def test_vertex_count_above_the_ceiling_exit_2(self, capsys, monkeypatch, text):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "solve", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: ") and "ceiling of 258047" in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent/file.txt")
         assert code == 2

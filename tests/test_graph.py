@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import twomatch
 from twomatch import (
     ENUMERATION_MAX_VERTICES,
+    GRAPH6_MAX_N,
     EdgeListError,
     Graph,
     edge,
@@ -21,6 +22,7 @@ from twomatch import (
     to_edge_list,
 )
 from twomatch import alternating, graph, graph6, matching, pairs, reports
+from twomatch.graph import MAX_VERTICES
 
 
 class TestGraphType:
@@ -103,6 +105,16 @@ class TestParseEdgeList:
         with pytest.raises(EdgeListError) as exc:
             parse_edge_list("n 2\n0 5")
         assert exc.value.line == 2
+
+    def test_vertex_ceiling(self):
+        # The graph6 ceiling: edge lists take no more vertices than graph6.
+        assert GRAPH6_MAX_N == MAX_VERTICES
+        assert parse_edge_list(f"n {MAX_VERTICES}").n == MAX_VERTICES
+        assert parse_edge_list(f"0 {MAX_VERTICES - 1}").n == MAX_VERTICES
+        for text in (f"n {MAX_VERTICES + 1}", f"0 1\n0 {MAX_VERTICES}"):
+            with pytest.raises(EdgeListError, match="ceiling") as exc:
+                parse_edge_list(text)
+            assert exc.value.line == text.count("\n") + 1
 
     def test_malformed_token(self):
         with pytest.raises(EdgeListError) as exc:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -22,13 +25,15 @@ from twomatch import (
     matching_violation,
     max_matching,
     maximum_matchings,
+    run_census,
     solve_pair,
     solve_pair_bruteforce,
+    to_edge_list,
     verify_graph,
     verify_lemmas,
 )
 
-from twomatch import matching, pairs
+from twomatch import cli, matching, pairs
 from twomatch.pairs import _frontier_dp, _frontier_order, _max_2_matching, _pair_from_2_matching
 
 from conftest import all_matchings_by_filtering, graphs, per_pair_trap
@@ -142,6 +147,16 @@ class TestBruteforce:
     def test_ceiling(self):
         with pytest.raises(ValueError):
             solve_pair_bruteforce(gen_complete(6))  # 15 edges
+
+    def test_lists_its_own_matchings(self, monkeypatch):
+        # The triple search lists through ``_matchings``; a fault there must
+        # not reach the oracle that the triples are checked against.
+        monkeypatch.setattr(pairs, "_matchings", lambda edges: [0])
+        for g in [*enumerate_graphs(4), *(gen_random(7, 0.35, seed) for seed in range(8)), gen_gap_family(2)]:
+            lam, alpha, members = pair_optima_by_filtering(g)
+            r = solve_pair_bruteforce(g)
+            assert (r.lambda2, r.alpha2, r.nu) == (lam, alpha, len(max_matching(g)))
+            assert (r.h, r.h_prime) in members
 
 
 class TestPairResult:
@@ -653,15 +668,28 @@ class TestMaximumOverAllPairs:
         ]
 
 
-def test_oracle_is_off_the_production_path(monkeypatch):
+def test_oracle_is_off_the_production_path(monkeypatch, tmp_path, capsys):
     def refuse(*args):
         raise AssertionError("oracle called on the production path")
 
-    monkeypatch.setattr(pairs, "max_matching_bruteforce", refuse)
-    monkeypatch.setattr(pairs, "solve_pair_bruteforce", refuse)
+    oracles = (matching.max_matching_bruteforce, pairs.solve_pair_bruteforce)
+    for name, module in list(sys.modules.items()):
+        if name == "twomatch" or name.startswith("twomatch."):
+            for attr, value in list(vars(module).items()):
+                if any(value is oracle for oracle in oracles):
+                    monkeypatch.setattr(module, attr, refuse)
     for g in tight_and_pendant():
         lemmas = analyze_graph(g, with_timings=False).lemmas
         assert (lemmas.checked, lemmas.passed, lemmas.failed) == (True, 15, 0)
+        assert all(report.ok for _, report in verify_graph(g))
+    tight, pendant = tight_and_pendant()
+    items = [("tight", Graph, (tight.n, tight.edges)), ("gap", gen_gap_family, (3,)), ("random", gen_random, (8, 0.4, 5))]
+    summary, rows = run_census(items, jobs=1, with_timings=False)
+    assert not summary.failures and all(r.lemmas.checked for r in rows)
+    path = tmp_path / "pendant.txt"
+    path.write_text(to_edge_list(pendant))
+    assert cli.main(["verify-lemmas", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 @settings(max_examples=80, deadline=None)
