@@ -298,6 +298,33 @@ class TestCensus:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (["--skip-lemmas"], 0, "4fbc3fb7f8bc505c01a85b3eaa5eb584615f979845c1f47fdd83ae676cc46d5d"),
+            (["--skip-lemmas", "--output", "csv"], 0, "06612cbb5e88b1414c5c20217a503fc28d8cc2da5ec6012e1afbe29820cdcdb6"),
+            (["--node-budget", "5"], 3, "0a5237fe809ca75c098fc2c06c8a986792a1e27036e31a6d170d89dd6628bffc"),
+            (["--node-budget", "5", "--output", "csv"], 3, "bc86d7a0fd9bd1ff8a2bd72edaf1002ad7b80594e986f173d592a12a989527f4"),
+        ],
+        ids=["skipped-json", "skipped-csv", "budget-json", "budget-csv"],
+    )
+    def test_solve_uncertified_or_unchecked_pinned(self, capsys, monkeypatch, argv, code, digest):
+        # Lemmas skipped as "disabled", or as "budget exceeded" with a null
+        # ratio verdict: the rows test_solve_pinned does not reach.
+        monkeypatch.setattr(sys, "stdin", io.StringIO(to_edge_list(gen_tight_family(gen_cycle(4)))))
+        got, out, _ = run_cli(capsys, "solve", "-", "--no-timings", *argv)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_pooled_census_csv_pinned(self, capsys):
+        # These rows cross the worker pool by pickle.
+        argv = ["census", "--random", "9", "0.4", "200", "--seed", "3", "--jobs", "2"]
+        code, out, _ = run_cli(capsys, *argv, "--no-timings", "--output", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1b7e927e33852cc57917d83b4b5ca20f833a93262b1da3f1b6be99b34bcd9df1"
+        )
+
     def test_jobs_match_serial(self, capsys, tmp_path):
         # Generated graphs are built in the workers from their recipes,
         # read ones are sent as (Graph, (n, edges)); both must give the
