@@ -75,7 +75,7 @@ def _print_json(doc: dict) -> None:
 
 def _csv_row(r) -> tuple:
     """One report as a CSV row, in ``_CSV_COLUMNS`` order."""
-    lem = r.lemmas
+    checked = r.lemmas_skipped is None
     return (
         r.source,
         r.n,
@@ -86,9 +86,9 @@ def _csv_row(r) -> tuple:
         r.ratio or "",
         "" if r.ratio_ok is None else int(r.ratio_ok),
         r.status,
-        lem.passed if lem.checked else "",
-        lem.failed if lem.checked else "",
-        "" if lem.checked else (lem.skipped_reason or ""),
+        r.lemmas_passed if checked else "",
+        len(r.lemma_failures) if checked else "",
+        r.lemmas_skipped or "",
     )
 
 

@@ -1,9 +1,10 @@
 """Graph analysis reports and census sweeps.
 
-One graph in, one report out: maximum matching size, exact pair optima,
-the ratio check (as an integer cross-product, never floating point, and
-only on certified optima), and the lemma suite when the instance is
-within the triple-search ceiling.  ``GraphReport.failures`` is the one
+One graph in, one flat report out, each result stored once: maximum
+matching size, exact pair optima, the lemma suite when the instance is
+within the triple-search ceiling, and the ratio check derived from the
+report's own nu and alpha2 (an integer cross-product, never floating
+point, and only on certified optima).  ``GraphReport.failures`` is the one
 failure rule: a broken ratio bound, optima out of order, or a lemma
 failure.  A census maps the analysis over a corpus, aggregates exact
 maxima and histograms over the certified rows, and collects those
@@ -31,7 +32,6 @@ from .pairs import (
 )
 
 __all__ = [
-    "LemmaSummary",
     "GraphReport",
     "CensusSummary",
     "SCHEMA_VERSION",
@@ -44,34 +44,13 @@ __all__ = [
 SCHEMA_VERSION = 4
 
 
-class LemmaSummary(NamedTuple):
-    """Outcome of the lemma suite for one graph (or why it was skipped)."""
-
-    checked: bool
-    triples: int = 0
-    passed: int = 0
-    failed: int = 0
-    failures: tuple[str, ...] = ()
-    skipped_reason: str | None = None
-
-    def to_dict(self) -> dict:
-        if not self.checked:
-            return {"checked": False, "skipped_reason": self.skipped_reason}
-        return {
-            "checked": True,
-            "triples": self.triples,
-            "passed": self.passed,
-            "failed": self.failed,
-            "failures": list(self.failures),
-        }
-
-
 class GraphReport(NamedTuple):
-    """Solver results for one graph; ``ratio_ok`` is the exact integer
-    comparison 4*nu <= 5*alpha2, and ``ratio``, ``ratio_ok`` and the
-    reported ``nu_minus_alpha2`` are ``None`` unless the pair optima are
-    certified (status ``ok``); ``certified_by`` names the route that
-    certified them (``"caps"``, ``"dp"`` or ``"search"``), else ``None``."""
+    """Solver results for one graph, each stored once; ``lemmas_skipped``
+    is why the lemma suite did not run, or ``None`` once it ran.  ``ratio``,
+    ``ratio_ok`` (4*nu <= 5*alpha2) and the reported ``nu_minus_alpha2``
+    are ``None`` unless the pair optima are certified (status ``ok``);
+    ``certified_by`` names the route that certified them (``"caps"``,
+    ``"dp"`` or ``"search"``), else ``None``."""
 
     source: str
     n: int
@@ -79,18 +58,27 @@ class GraphReport(NamedTuple):
     nu: int
     lambda2: int
     alpha2: int
-    ratio: str | None
-    ratio_ok: bool | None
     status: str
     solver_nodes: int
     certified_by: str | None
-    lemmas: LemmaSummary
+    lemmas_skipped: str | None
+    lemmas_passed: int = 0
+    lemma_failures: tuple[str, ...] = ()
     timings: dict[str, float] | None = None
     witness: dict[str, list[list[int]]] | None = None
 
     @property
     def gap(self) -> int:
         return self.nu - self.alpha2
+
+    @property
+    def ratio(self) -> str | None:
+        return _ratio_str(self.nu, self.alpha2) if self.status == "ok" else None
+
+    @property
+    def ratio_ok(self) -> bool | None:
+        # An uncertified alpha2 bounds nothing, so it gets no verdict.
+        return 4 * self.nu <= 5 * self.alpha2 if self.status == "ok" else None
 
     def failures(self) -> list[dict]:
         """What this report breaks, as census failure entries: the ratio
@@ -103,8 +91,8 @@ class GraphReport(NamedTuple):
             found.append(
                 ("report_invariant", f"nu={self.nu}, alpha2={self.alpha2}, lambda2={self.lambda2}")
             )
-        if self.lemmas.checked and self.lemmas.failed:
-            found.append(("lemma", ", ".join(self.lemmas.failures)))
+        if self.lemma_failures:
+            found.append(("lemma", ", ".join(self.lemma_failures)))
         return [{"source": self.source, "kind": kind, "detail": detail} for kind, detail in found]
 
     def to_dict(self) -> dict:
@@ -123,7 +111,14 @@ class GraphReport(NamedTuple):
             "status": self.status,
             "solver_nodes": self.solver_nodes,
             "certified_by": self.certified_by,
-            "lemmas": self.lemmas.to_dict(),
+            "lemmas": (
+                {"checked": False, "skipped_reason": self.lemmas_skipped}
+                if self.lemmas_skipped is not None
+                else {
+                    "checked": True, "triples": 1, "passed": self.lemmas_passed,
+                    "failed": len(self.lemma_failures), "failures": list(self.lemma_failures),
+                }
+            ),
         }
         if self.witness is not None:
             doc["witness"] = self.witness
@@ -162,23 +157,19 @@ def analyze_graph(
     nu = pair.nu
     timings["pair_solver"] = perf_counter() - t0
 
-    # An uncertified alpha2 bounds nothing, so it gets no ratio verdict.
     certified = pair.status == "optimal"
-    ratio_ok = 4 * nu <= 5 * pair.alpha2 if certified else None
     witness = None
     if with_witness:
         witness = {"h": _edge_lists(pair.h), "h_prime": _edge_lists(pair.h_prime)}
 
     t0 = perf_counter()
+    skipped, passed, failures = None, 0, []
     if not lemmas:
-        summary = LemmaSummary(checked=False, skipped_reason="disabled")
+        skipped = "disabled"
     elif not certified:
-        summary = LemmaSummary(checked=False, skipped_reason="budget exceeded")
+        skipped = "budget exceeded"
     elif g.m > PAIR_ORACLE_MAX_EDGES:
-        summary = LemmaSummary(
-            checked=False,
-            skipped_reason=f"over ceiling ({g.m} > {PAIR_ORACLE_MAX_EDGES} edges)",
-        )
+        skipped = f"over ceiling ({g.m} > {PAIR_ORACLE_MAX_EDGES} edges)"
     else:
         triple = canonical_triple(g)
         sizes = (len(triple.m), len(triple.h) + len(triple.h_prime), len(triple.h))
@@ -188,13 +179,6 @@ def analyze_graph(
         # Dual-route consistency: solve_pair vs exhaustive enumeration.
         if sizes != (nu, pair.lambda2, pair.alpha2):
             failures.append("solver_vs_enumeration_mismatch")
-        summary = LemmaSummary(
-            checked=True,
-            triples=1,
-            passed=passed,
-            failed=len(failures),
-            failures=tuple(failures),
-        )
     timings["lemmas"] = perf_counter() - t0
 
     return GraphReport(
@@ -204,12 +188,12 @@ def analyze_graph(
         nu=nu,
         lambda2=pair.lambda2,
         alpha2=pair.alpha2,
-        ratio=_ratio_str(nu, pair.alpha2) if certified else None,
-        ratio_ok=ratio_ok,
         status="ok" if certified else pair.status,
         solver_nodes=pair.nodes,
         certified_by=pair.route if certified else None,
-        lemmas=summary,
+        lemmas_skipped=skipped,
+        lemmas_passed=passed,
+        lemma_failures=tuple(failures),
         timings=timings if with_timings else None,
         witness=witness,
     )
@@ -324,7 +308,7 @@ def run_census(
             top_nu, top_alpha2 = r.nu, r.alpha2
             max_source = r.source
         histogram[r.gap] = histogram.get(r.gap, 0) + 1
-        if r.lemmas.checked:
+        if r.lemmas_skipped is None:
             lemma_checked += 1
 
     summary = CensusSummary(

@@ -7,7 +7,6 @@ from fractions import Fraction
 from twomatch import (
     Graph,
     GraphReport,
-    LemmaSummary,
     analyze_graph,
     gen_complete,
     gen_gap_family,
@@ -28,12 +27,10 @@ def row(source: str, nu: int, alpha2: int, status: str = "ok") -> GraphReport:
         nu=nu,
         lambda2=2 * alpha2,
         alpha2=alpha2,
-        ratio=None,
-        ratio_ok=4 * nu <= 5 * alpha2 if status == "ok" else None,
         status=status,
         solver_nodes=0,
         certified_by="caps" if status == "ok" else None,
-        lemmas=LemmaSummary(checked=False, skipped_reason="disabled"),
+        lemmas_skipped="disabled",
     )
 
 
@@ -52,6 +49,14 @@ class TestRatio:
                 f = Fraction(nu, alpha2)
                 assert reports._ratio_str(nu, alpha2) == f"{f.numerator}/{f.denominator}"
         assert reports._ratio_str(3, 0) is None
+
+    def test_verdict_follows_the_row_optima(self):
+        broken = row("broken", 5, 3)
+        assert (broken.ratio, broken.ratio_ok) == ("5/3", False)
+        assert [f["kind"] for f in broken.failures()] == ["ratio_bound"]
+        stuck = row("stuck", 5, 3, status="budget_exceeded")
+        assert (stuck.ratio, stuck.ratio_ok) == (None, None)
+        assert stuck.failures() == []
 
     def test_census_reduces_the_largest(self, monkeypatch):
         assert census_of(monkeypatch, [row("a", 10, 8)]) == ("5/4", "a")
@@ -113,6 +118,6 @@ class TestOneNuPerGraph:
             solve_pair(g)
             alone = len(runs)
             report = analyze_graph(g, with_timings=False)
-            assert report.lemmas.checked and not report.lemmas.failed
+            assert report.lemmas_skipped is None and not report.lemma_failures
             assert len(runs) - alone <= alone
             runs.clear()
