@@ -15,9 +15,9 @@ maximum matching).  Together they force the ratio bound: the maximum
 matching can exceed the larger side of an optimal pair by at most a
 quarter of that side.  Each checker returns a verdict carrying a concrete
 witness on failure; failures are data, not exceptions.  ``verify_lemmas``
-takes nu from its caller, decomposes three pairs, (m, h), (h, h_prime)
-and the core against h_prime, once each, and reads every check and
-every launched path off those three.
+takes nu from its caller, checks m, h and h_prime once each, decomposes
+(m, h), (h, h_prime) and the core against h_prime, and reads every check
+and every launched path off those three.
 """
 
 from __future__ import annotations
@@ -96,10 +96,19 @@ def decompose(g: Graph, a: Iterable[Edge], b: Iterable[Edge]) -> Decomposition:
     """
     a = frozenset(a)
     b = frozenset(b)
-    for name, s in (("first", a), ("second", b)):
-        reason = matching_violation(g, s)
-        if reason is not None:
-            raise ValueError(f"{name} matching invalid: {reason}")
+    _check_matching(g, a, "first")
+    _check_matching(g, b, "second")
+    return _decompose(a, b)
+
+
+def _check_matching(g: Graph, s: frozenset[Edge], name: str) -> None:
+    reason = matching_violation(g, s)
+    if reason is not None:
+        raise ValueError(f"{name} matching invalid: {reason}")
+
+
+def _decompose(a: frozenset[Edge], b: frozenset[Edge]) -> Decomposition:
+    """``decompose`` of two matchings that are already checked."""
     side_of = dict.fromkeys(a - b, "A")  # the side of each unshared edge
     side_of.update(dict.fromkeys(b - a, "B"))
     comps = [_component(walk, side_of) for walk in _paths_and_cycles(side_of)]
@@ -202,12 +211,13 @@ def _decomposed(
     g: Graph, t: CanonicalTriple
 ) -> tuple[frozenset[Edge], frozenset[Edge], frozenset[Edge], Decomposition, Decomposition]:
     """(m, h, h_prime) of ``t`` as frozensets, with the decompositions of
-    (m, h) and (h, h_prime).  Those check that m, h and h_prime are
-    matchings of ``g``, in that order; the two sides are then checked to
-    be edge-disjoint."""
+    (m, h) and (h, h_prime).  m, h and h_prime are checked to be matchings
+    of ``g``, once each and in that order; the two sides are then checked
+    to be edge-disjoint."""
     m, h, hp = frozenset(t.m), frozenset(t.h), frozenset(t.h_prime)
     d_mh = decompose(g, m, h)
-    d_hhp = decompose(g, h, hp)
+    _check_matching(g, hp, "second")
+    d_hhp = _decompose(h, hp)
     if d_hhp.shared:
         raise ValueError("triple sides are not edge-disjoint")
     return m, h, hp, d_mh, d_hhp
@@ -231,20 +241,11 @@ def _artifacts(hp: frozenset[Edge], d_mh: Decomposition, d_hhp: Decomposition) -
     m_a = frozenset(e for c in odd_m for e, s in zip(c.edges, c.sides) if s == "A")
     h_a = frozenset(e for c in odd_m for e, s in zip(c.edges, c.sides) if s == "B")
 
-    if not odd_m:  # nothing to launch from
-        return TripleArtifacts(m_a, h_a, ())
-
-    # Each path of the pair difference, keyed by either end and walked
-    # from it.
-    from_end: dict[int, AlternatingComponent] = {}
-    for c in d_hhp.paths():
-        from_end[c.vertices[0]] = c
-        from_end[c.vertices[-1]] = c._replace(
-            vertices=c.vertices[::-1], edges=c.edges[::-1], sides=c.sides[::-1]
-        )
+    # Each path of the pair difference, keyed by either end.
+    at_end = {c.vertices[i]: c for c in d_hhp.paths() for i in (0, -1)}
     defects: list[str] = []
     launched: list[AlternatingComponent] = []
-    seen: set[frozenset[Edge]] = set()
+    seen: set[AlternatingComponent] = set()
     for path in odd_m:
         ends = [(path.vertices[0], path.edges[0]), (path.vertices[-1], path.edges[-1])]
         for vertex, end_edge in ends:
@@ -253,10 +254,13 @@ def _artifacts(hp: frozenset[Edge], d_mh: Decomposition, d_hhp: Decomposition) -
                     f"end-edge {end_edge} of odd path {path.edges} outside the smaller side"
                 )
                 continue
-            comp = from_end[vertex]
-            key = frozenset(comp.edges)
-            if key not in seen:
-                seen.add(key)
+            comp = at_end[vertex]
+            if comp not in seen:
+                seen.add(comp)
+                if comp.vertices[0] != vertex:  # walk it from the launch vertex
+                    comp = comp._replace(
+                        vertices=comp.vertices[::-1], edges=comp.edges[::-1], sides=comp.sides[::-1]
+                    )
                 launched.append(comp)
     return TripleArtifacts(m_a, h_a, tuple(launched), tuple(defects))
 
@@ -290,7 +294,7 @@ def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
     alpha = len(h)
     gap = nu - alpha
     art = _artifacts(hp, d_mh, d_hhp)
-    d_core = decompose(g, art.m_a, hp)
+    d_core = _decompose(art.m_a, hp)  # m_a is part of m, both checked
 
     checks: dict[str, Verdict] = {}
 

@@ -13,11 +13,14 @@ import csv
 import json
 import os
 import sys
+from itertools import islice
 from typing import Iterable
 
 from .graph import (
     Graph,
     _check_gnp,
+    _enumerated_graph,
+    _enumeration_size,
     gen_complete,
     gen_cycle,
     gen_gap_family,
@@ -182,11 +185,11 @@ def _parse_k_range(text: str) -> tuple[int, int]:
 def _census_corpus(args: argparse.Namespace) -> tuple[str, list[CensusItem]]:
     """The corpus name and its recipes ``(source, make, args)``: generated
     graphs travel as their generator and its arguments, so ``run_census``
-    builds them where it analyzes them; graphs read or enumerated here
-    travel as ``(Graph, (n, edges))``."""
+    builds them where it analyzes them; graphs read here travel as
+    ``(Graph, (n, edges))``."""
     if args.exhaustive is not None:
         n = args.exhaustive
-        items = [(f"n{n}#{i}", Graph, (g.n, g.edges)) for i, g in enumerate(enumerate_graphs(n))]
+        items = [(f"n{n}#{i}", _enumerated_graph, (n, i)) for i in range(_enumeration_size(n))]
         return f"exhaustive n={n}", items
     if args.random is not None:
         n = _number(int, args.random[0], "--random N")
@@ -300,16 +303,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if kind == "random":
         graphs = [gen_random(*values, args.seed)]
     elif kind == "enumerate":
-        graphs = list(enumerate_graphs(*values))
+        graphs = enumerate_graphs(*values)  # printed as it is made
     else:
         graphs = [_ONE_INTEGER[kind](*values)]
     if args.format == "graph6":
         for g in graphs:
             print(encode_graph6(g))
-    elif len(graphs) > 1:
+        return EXIT_OK
+    first, *more = islice(graphs, 2)
+    if more:
         raise ValueError("edge-list output holds a single graph; use --format graph6 for enumerate")
-    else:
-        sys.stdout.write(to_edge_list(graphs[0]))
+    sys.stdout.write(to_edge_list(first))
     return EXIT_OK
 
 

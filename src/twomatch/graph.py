@@ -29,6 +29,7 @@ __all__ = [
     "gen_gap_family",
     "enumerate_graphs",
     "ENUMERATION_MAX_VERTICES",
+    "MAX_VERTICES",
 ]
 
 Edge = tuple[int, int]
@@ -297,6 +298,22 @@ def gen_gap_family(k: int) -> Graph:
     return Graph(2 * k + 1, frozenset(edges))
 
 
+def _enumeration_size(n: int) -> int:
+    """How many graphs ``enumerate_graphs(n)`` yields; raises ``ValueError``
+    for ``n`` below 0 or above the ceiling."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if n > ENUMERATION_MAX_VERTICES:
+        raise ValueError(f"enumeration ceiling is n={ENUMERATION_MAX_VERTICES}")
+    return 1 << n * (n - 1) // 2
+
+
+def _enumerated_graph(n: int, code: int) -> Graph:
+    """Graph number ``code`` of ``enumerate_graphs(n)``."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, frozenset(p for i, p in enumerate(reversed(pairs)) if code >> i & 1))
+
+
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """Yield all 2**(n(n-1)/2) labeled simple graphs on ``n`` vertices.
 
@@ -305,16 +322,5 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     first pair is the most significant bit, so the empty graph comes
     first and the complete graph last.
     """
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    if n > ENUMERATION_MAX_VERTICES:
-        raise ValueError(f"enumeration ceiling is n={ENUMERATION_MAX_VERTICES}")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    bits = len(pairs)
-    for code in range(1 << bits):
-        yield Graph(
-            n,
-            frozenset(
-                pairs[i] for i in range(bits) if (code >> (bits - 1 - i)) & 1
-            ),
-        )
+    for code in range(_enumeration_size(n)):
+        yield _enumerated_graph(n, code)

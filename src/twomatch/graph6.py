@@ -15,11 +15,7 @@ from typing import Iterator
 
 from .graph import MAX_VERTICES, Graph
 
-__all__ = ["Graph6Error", "parse_graph6", "encode_graph6", "iter_graph6", "GRAPH6_MAX_N"]
-
-#: Largest vertex count the three-byte header form can carry; the
-#: eight-byte form used beyond it is not supported.
-GRAPH6_MAX_N = MAX_VERTICES
+__all__ = ["Graph6Error", "parse_graph6", "encode_graph6", "iter_graph6"]
 
 _HEADER_PREFIX = ">>graph6<<"
 
@@ -61,7 +57,7 @@ def parse_graph6(text: str) -> Graph:
         n = (values[1] << 12) | (values[2] << 6) | values[3]
         if n <= 62:
             raise Graph6Error("non-canonical long header for a small vertex count")
-        if n > GRAPH6_MAX_N:
+        if n > MAX_VERTICES:
             raise Graph6Error(f"vertex count {n} beyond the supported range")
         pos = 4
 
@@ -88,7 +84,7 @@ def parse_graph6(text: str) -> Graph:
 def encode_graph6(g: Graph) -> str:
     """Encode a graph as a single graph6 line (no trailing newline)."""
     n = g.n
-    if n > GRAPH6_MAX_N:
+    if n > MAX_VERTICES:
         raise Graph6Error(f"vertex count {n} beyond the supported range")
     if n <= 62:
         head = chr(n + 63)

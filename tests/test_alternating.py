@@ -238,7 +238,7 @@ class TestVerifyLemmas:
         assert list(rep.checks) == readme_check_ids()
 
     def test_each_matching_is_checked_by_its_decompositions(self, monkeypatch):
-        # Two runs in each of the three decompositions, none besides.
+        # One run for each of m, h and h_prime, none besides.
         check = alternating.matching_violation
         runs = []
 
@@ -249,7 +249,7 @@ class TestVerifyLemmas:
         monkeypatch.setattr(alternating, "matching_violation", counted)
         g = gen_tight_family(gen_complete(2))
         verify_lemmas(g, canonical_triple(g), len(max_matching(g)))
-        assert len(runs) == 6
+        assert len(runs) == 3
 
     def test_tight_family_all_pass(self):
         g = gen_tight_family(gen_complete(2))

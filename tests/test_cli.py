@@ -15,6 +15,7 @@ from twomatch import (
     PairResult,
     Verdict,
     encode_graph6,
+    enumerate_graphs,
     gen_complete,
     gen_cycle,
     gen_gap_family,
@@ -282,6 +283,13 @@ class TestCensus:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "a734531e71ef06870b8c703f2d943b4462cb98b7996c48f805b60637b91f0b61"
         )
+
+    def test_exhaustive_items_are_recipes(self):
+        # Each graph is built once, in the worker, from (n, its index).
+        for n in range(6):
+            _, items = cli._census_corpus(cli.build_parser().parse_args(["census", "--exhaustive", str(n)]))
+            assert all(type(x) is int for _, _, args in items for x in args)
+            assert [make(*args) for _, make, args in items] == list(enumerate_graphs(n))
 
     @pytest.mark.parametrize(
         "g, digest",
@@ -688,6 +696,24 @@ class TestGenerate:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 8
+
+    def test_enumerate_prints_as_it_enumerates(self, capsys, monkeypatch):
+        events = []
+
+        def enumerate_logged(n):
+            for g in enumerate_graphs(n):
+                events.append("yield")
+                yield g
+
+        def encode_logged(g):
+            events.append("encode")
+            return encode_graph6(g)
+
+        monkeypatch.setattr(cli, "enumerate_graphs", enumerate_logged)
+        monkeypatch.setattr(cli, "encode_graph6", encode_logged)
+        code, out, _ = run_cli(capsys, "generate", "enumerate", "3", "--format", "graph6")
+        assert code == 0
+        assert events == ["yield", "encode"] * 8
 
     def test_random_seeded(self, capsys):
         _, out1, _ = run_cli(capsys, "generate", "random", "8", "0.4", "--seed", "42")

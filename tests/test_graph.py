@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 import twomatch
 from twomatch import (
     ENUMERATION_MAX_VERTICES,
-    GRAPH6_MAX_N,
+    MAX_VERTICES,
     EdgeListError,
     Graph,
+    Graph6Error,
     edge,
     enumerate_graphs,
     gen_complete,
@@ -19,10 +20,10 @@ from twomatch import (
     gen_random,
     gen_tight_family,
     parse_edge_list,
+    parse_graph6,
     to_edge_list,
 )
 from twomatch import alternating, graph, graph6, matching, pairs, reports
-from twomatch.graph import MAX_VERTICES
 
 
 class TestGraphType:
@@ -108,7 +109,10 @@ class TestParseEdgeList:
 
     def test_vertex_ceiling(self):
         # The graph6 ceiling: edge lists take no more vertices than graph6.
-        assert GRAPH6_MAX_N == MAX_VERTICES
+        with pytest.raises(Graph6Error, match="supported range"):
+            parse_graph6("~~??")  # the header of MAX_VERTICES + 1
+        with pytest.raises(EdgeListError, match="ceiling"):
+            parse_edge_list(f"n {MAX_VERTICES + 1}")
         assert parse_edge_list(f"n {MAX_VERTICES}").n == MAX_VERTICES
         assert parse_edge_list(f"0 {MAX_VERTICES - 1}").n == MAX_VERTICES
         for text in (f"n {MAX_VERTICES + 1}", f"0 1\n0 {MAX_VERTICES}"):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twomatch import (
-    GRAPH6_MAX_N,
+    MAX_VERTICES,
     Graph,
     Graph6Error,
     encode_graph6,
@@ -66,7 +66,7 @@ class TestErrors:
 
     def test_n_too_large_encode(self):
         with pytest.raises(Graph6Error, match="supported range"):
-            encode_graph6(Graph(GRAPH6_MAX_N + 1, frozenset()))
+            encode_graph6(Graph(MAX_VERTICES + 1, frozenset()))
 
     def test_long_form_marker_rejected(self):
         with pytest.raises(Graph6Error, match="supported range"):
