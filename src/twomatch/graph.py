@@ -3,10 +3,11 @@
 Vertices are dense integer indices ``0 .. n-1`` and edges are stored
 canonically as pairs ``(u, v)`` with ``u < v``.  Constructors validate the
 no-loop / no-duplicate / endpoints-in-range invariants, so any ``Graph``
-instance can be trusted downstream.  Graphs are immutable and safe to
-share across worker processes.  The one walk over the paths and cycles of
-an edge set with degrees at most 2, which ``pairs`` and ``alternating``
-share, lives here too.
+instance can be trusted downstream; only edge sets the library builds
+canonical and in range itself skip the check.  Graphs are immutable and
+safe to share across worker processes.  The one walk over the paths and
+cycles of an edge set with degrees at most 2, which ``pairs`` and
+``alternating`` share, lives here too.
 """
 
 from __future__ import annotations
@@ -82,6 +83,12 @@ class Graph(_GraphFields):
     @classmethod
     def _make(cls, iterable: Iterable) -> "Graph":
         return cls(*iterable)
+
+    @classmethod
+    def _unchecked(cls, n: int, edges: frozenset[Edge]) -> "Graph":
+        """A graph whose edges the library built canonical and in range
+        itself; no check runs.  Inputs always go through ``Graph(...)``."""
+        return tuple.__new__(cls, (n, edges))
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -253,7 +260,7 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
     edges = frozenset(
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     )
-    return Graph(n, edges)
+    return Graph._unchecked(n, edges)
 
 
 def gen_tight_family(f: Graph) -> Graph:

@@ -179,7 +179,7 @@ def _max_2_matching(g: Graph, deg: list[int]) -> frozenset[Edge]:
         gadget.append((a, b))
         gadget += [(c, a) for c in range(first[u], first[u] + min(2, deg[u]))]
         gadget += [(c, b) for c in range(first[v], first[v] + min(2, deg[v]))]
-    held = {y for x, y in max_matching(Graph(n, frozenset(gadget))) if x < copies}
+    held = {y for x, y in max_matching(Graph._unchecked(n, frozenset(gadget))) if x < copies}
     return frozenset(e for e, (a, b) in zip(order, pairs) if a in held and b in held)
 
 
@@ -447,7 +447,7 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
 
     # Matching incumbent: M, then a maximum matching of the rest.
     m = max_matching(g)
-    rest = max_matching(Graph(g.n, g.edges - m))
+    rest = max_matching(Graph._unchecked(g.n, g.edges - m))
     nu = len(m)
     best_total = nu + len(rest)
     best_pair = (m, rest)

@@ -8,13 +8,15 @@ point, and only on certified optima).  ``GraphReport.failures`` is the one
 failure rule: a broken ratio bound, optima out of order, or a lemma
 failure.  A census maps the analysis over a corpus, aggregates exact
 maxima and histograms over the certified rows, and collects those
-failures; graphs are independent, so sweeps parallelize over a worker
-pool with input order preserved in the output.  A census item is a
-recipe for its graph, which is built where it is analyzed.
+failures; graphs are independent, so sweeps fan out over forked children
+with input order preserved in the output.  A census item is a recipe for
+its graph, which is built in the process that analyzes it.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 from math import gcd
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -256,7 +258,7 @@ CensusItem = tuple[str, Callable[..., Graph], tuple]
 
 def _census_worker(item: tuple[str, Callable[..., Graph], tuple, int, bool]) -> GraphReport:
     """Build one graph from its recipe, ``make(*args)``, and analyze it
-    without timings; the one per-graph path, in a pool worker or in-process."""
+    without timings; the one per-graph path, in the parent or in a child."""
     source, make, args, node_budget, lemmas = item
     return analyze_graph(
         make(*args), source, node_budget=node_budget, lemmas=lemmas, with_timings=False
@@ -275,22 +277,53 @@ def run_census(
     """Analyze every graph of a corpus; row order follows input order.
 
     Each item is a recipe ``(source, make, args)``: the graph is
-    ``make(*args)``, built where it is analyzed.  At ``jobs > 1`` the
-    recipes, not the graphs, are pickled to the pool, so the workers
-    generate the graphs too; ``make`` must then be a module-level function
-    (``Graph`` itself, for a graph already in hand, as ``(Graph, (g.n,
-    g.edges))``).  ``jobs = 1`` runs the same worker function in-process.
+    ``make(*args)``, built in the process that analyzes it; ``make`` may be
+    any callable, since recipes are inherited, not pickled.  At ``jobs =
+    J`` the parent forks J - 1 children, fewer if there are fewer items:
+    child k analyzes items k, k + J, ... and sends back their rows in
+    marshal batches, while the parent analyzes items 0, J, ...  Without
+    ``os.fork``, one process does every job.
     """
     start = perf_counter()
-    packed = [(src, make, args, node_budget, lemmas) for src, make, args in items]
-    if jobs > 1 and len(packed) > 1:
-        import multiprocessing  # here, so that no serial run pays to load it
+    jobs = max(1, min(jobs, len(items))) if hasattr(os, "fork") else 1
+    reports: list[GraphReport] = [None] * len(items)  # type: ignore[list-item]
 
-        chunk = max(1, len(packed) // (jobs * 8))
-        with multiprocessing.Pool(jobs) as pool:
-            reports = pool.map(_census_worker, packed, chunksize=chunk)
-    else:
-        reports = [_census_worker(p) for p in packed]
+    def share(k: int) -> list[GraphReport]:  # items k, k + jobs, k + 2*jobs, ...
+        return [_census_worker((*items[i], node_budget, lemmas)) for i in range(k, len(items), jobs)]
+    children = []
+    try:
+        for k in range(1, jobs):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # child k: never returns, ends in os._exit
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        try:
+                            rows = share(k)
+                            for b in range(0, len(rows), 64):
+                                marshal.dump(marshal.dumps([tuple(r) for r in rows[b : b + 64]]), pipe)
+                        except Exception as exc:
+                            import pickle
+                            marshal.dump(marshal.dumps(pickle.dumps(exc)), pipe)
+                finally:
+                    os._exit(0)
+            os.close(write)  # before the next fork, so that only child k holds it
+            children.append((pid, open(read, "rb")))
+        reports[::jobs] = share(0)
+        for k, (_, pipe) in enumerate(children, 1):
+            for first in range(k, len(items), 64 * jobs):
+                rows = marshal.loads(marshal.load(pipe))
+                if isinstance(rows, bytes):
+                    import pickle
+                    raise pickle.loads(rows)
+                reports[first : first + 64 * jobs : jobs] = map(GraphReport._make, rows)
+    except EOFError:
+        raise ChildProcessError("a census worker ended before sending all its rows") from None
+    finally:
+        for pid, pipe in children:  # all rows are in, or a child may be deep in a search
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            pipe.close()
 
     # The largest nu/alpha2 as (nu, alpha2), compared by cross-multiplying.
     top_nu, top_alpha2 = 0, 1

@@ -1,14 +1,69 @@
 from __future__ import annotations
 
+import os
 import random
+import signal
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
+import pytest
 from hypothesis import strategies as st
 
-from twomatch import Graph, Verdict, decompose, edge, matching_violation, max_matching
+from twomatch import Graph, Verdict, decompose, edge, matching_violation, max_matching, reports
 from twomatch.alternating import _property_3, _property_4
 from twomatch.matching import _find_path_from
+
+
+def _children_of(parent: int) -> list[int]:
+    """Pids whose parent is ``parent``, read from ``/proc`` (empty where
+    there is none)."""
+    found = []
+    for entry in os.listdir("/proc") if os.path.isdir("/proc") else ():
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError, IndexError):
+            continue
+        if ppid == parent:
+            found.append(int(entry))
+    return found
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process behind, exited but not
+    reaped or still running, and name its pid.  A running one is killed
+    and reaped here, so that the next test starts clean."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    if pid:
+        pytest.fail(f"child process {pid} exited but was not reaped")
+    running = _children_of(os.getpid())
+    for child in running:
+        os.kill(child, signal.SIGKILL)
+        os.waitpid(child, 0)
+    pytest.fail(f"child process still running: {running or 'pid not found'}")
+
+
+def fail_on(monkeypatch, source: str, message: str, others=None) -> None:
+    """Make ``analyze_graph`` raise ``ValueError(message)`` on ``source``
+    and run ``others`` first on every other graph; forked children inherit
+    the patch."""
+    real = reports.analyze_graph
+
+    def patched(g, src="", **kw):
+        if src == source:
+            raise ValueError(message)
+        if others is not None:
+            others()
+        return real(g, src, **kw)
+
+    monkeypatch.setattr(reports, "analyze_graph", patched)
 
 
 def petersen() -> Graph:

@@ -28,7 +28,7 @@ from twomatch import (
 from twomatch import cli, reports
 from twomatch.cli import main
 
-from conftest import per_pair_trap
+from conftest import fail_on, per_pair_trap
 
 
 def cli_env() -> dict[str, str]:
@@ -325,7 +325,7 @@ class TestCensus:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_pooled_census_csv_pinned(self, capsys):
-        # These rows cross the worker pool by pickle.
+        # These rows come back from a forked child by marshal.
         argv = ["census", "--random", "9", "0.4", "200", "--seed", "3", "--jobs", "2"]
         code, out, _ = run_cli(capsys, *argv, "--no-timings", "--output", "csv")
         assert code == 0
@@ -334,24 +334,31 @@ class TestCensus:
         )
 
     def test_jobs_match_serial(self, capsys, tmp_path):
-        # Generated graphs are built in the workers from their recipes,
-        # read ones are sent as (Graph, (n, edges)); both must give the
-        # serial bytes.
+        # Generated graphs are built in the children from their recipes,
+        # read ones as (Graph, (n, edges)); every job count must give the
+        # serial bytes, also with fewer graphs than jobs, or none.
         path = tmp_path / "corpus.g6"
         path.write_text("".join(encode_graph6(gen_random(4 + s % 5, 0.4, s)) + "\n" for s in range(30)))
         corpora = [
-            ["--exhaustive", "3"],
-            ["--random", "7", "0.5", "200", "--seed", "5"],
-            ["--family", "tight", "--k-range", "1:3"],
-            ["--input", str(path), "--format", "graph6"],
+            (["--exhaustive", "3"], ("2", "3")),
+            (["--random", "7", "0.5", "200", "--seed", "5"], ("2", "3")),
+            (["--family", "tight", "--k-range", "1:3"], ("2", "3")),
+            (["--input", str(path), "--format", "graph6"], ("2", "3")),
+            (["--family", "tight", "--k-range", "1:1"], ("4",)),
+            (["--random", "7", "0.5", "0"], ("2",)),
         ]
-        for corpus in corpora:
+        for corpus, jobs in corpora:
             for output in ("json", "csv"):
                 argv = ["census", *corpus, "--output", output, "--no-timings"]
                 serial = run_cli(capsys, *argv, "--jobs", "1")
-                parallel = run_cli(capsys, *argv, "--jobs", "2")
                 assert serial[0] == 0
-                assert serial == parallel
+                for j in jobs:
+                    assert run_cli(capsys, *argv, "--jobs", j) == serial
+
+    def test_an_error_in_a_child_exits_2(self, capsys, monkeypatch):
+        fail_on(monkeypatch, "gap(k=3)", "planted failure")  # the second graph: a child's
+        argv = ["census", "--family", "gap", "--k-range", "2:5", "--jobs", "2"]
+        assert run_cli(capsys, *argv) == (2, "", "error: planted failure\n")
 
     def test_family_gap(self, capsys):
         code, out, _ = run_cli(
@@ -408,9 +415,15 @@ class TestCensus:
         assert doc["failures"] == []
 
     def test_broken_pipe_exits_141_quietly(self):
+        self.check_broken_pipe("1")
+
+    def test_broken_pipe_exits_141_quietly_at_jobs_2(self):
+        self.check_broken_pipe("2")
+
+    def check_broken_pipe(self, jobs: str) -> None:
         # Far more than a pipe buffer of CSV: the write after the reader
         # closes fails every time.
-        argv = ["census", "--random", "7", "0.5", "3000", "--skip-lemmas", "--output", "csv"]
+        argv = ["census", "--random", "7", "0.5", "3000", "--skip-lemmas", "--output", "csv", "--jobs", jobs]
         proc = subprocess.Popen(
             [sys.executable, "-m", "twomatch", *argv],
             stdout=subprocess.PIPE,
@@ -780,3 +793,9 @@ class TestStartup:
         added = self.loaded("import twomatch.cli") - self.loaded("")
         assert "twomatch.cli" in added
         assert not added & self.HEAVY, sorted(added & self.HEAVY)
+
+    def test_forked_census_loads_no_pool(self):
+        run = "from twomatch.cli import main\nmain(['census', '--random', '7', '0.5', '20', '--jobs', '2'])"
+        added = self.loaded(run) - self.loaded("")
+        assert "twomatch.reports" in added
+        assert "multiprocessing" not in added

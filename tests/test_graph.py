@@ -177,6 +177,18 @@ class TestGenerators:
             (1, 4), (1, 5), (2, 3), (2, 5), (3, 5),
         ]
 
+    def test_random_passes_the_checks_it_skips(self):
+        # gen_random builds its graph unchecked; the checked constructor
+        # must accept the same edges and give an equal graph.
+        for n in (0, 1, 12):
+            for seed in range(500):
+                g = gen_random(n, 0.5, seed)
+                assert type(g) is Graph and type(g.edges) is frozenset
+                assert g == Graph(n, g.edges)
+        for bad in ({(1, 1)}, {(0, 3)}, {(2, 1)}):
+            with pytest.raises(ValueError):
+                Graph(3, frozenset(bad))
+
     def test_random_bad_probability(self):
         with pytest.raises(ValueError):
             gen_random(5, 1.5, 0)

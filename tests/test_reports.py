@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import os
 import pickle
 import sys
+import time
 from fractions import Fraction
+
+import pytest
 
 from twomatch import (
     Graph,
@@ -10,12 +14,16 @@ from twomatch import (
     analyze_graph,
     gen_complete,
     gen_gap_family,
+    gen_path,
+    gen_random,
     gen_tight_family,
     run_census,
     solve_pair,
     verify_graph,
 )
 from twomatch import matching, reports
+
+from conftest import fail_on
 
 
 def row(source: str, nu: int, alpha2: int, status: str = "ok") -> GraphReport:
@@ -121,3 +129,56 @@ class TestOneNuPerGraph:
             assert report.lemmas_skipped is None and not report.lemma_failures
             assert len(runs) - alone <= alone
             runs.clear()
+
+
+class TestForkedCensus:
+    """``run_census`` at ``jobs > 1``: forked children, rows back by pipe."""
+
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_rows_equal_the_serial_rows(self, jobs):
+        # More graphs than one batch per process, and a count no job count divides.
+        items = [(f"r{s}", gen_random, (6, 0.5, s)) for s in range(64 * jobs * 2 + 5)]
+        serial = run_census(items, with_timings=False, lemmas=False)
+        forked = run_census(items, jobs=jobs, with_timings=False, lemmas=False)
+        assert forked == serial
+        assert {type(r) for r in forked[1]} == {GraphReport}
+
+    def test_any_callable_makes_the_graph(self):
+        # Recipes are inherited, not pickled: a lambda is a recipe too.
+        items = [(f"p{k}", lambda k: gen_path(k), (k,)) for k in range(5)]
+        assert run_census(items, jobs=2, with_timings=False) == run_census(items, with_timings=False)
+
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_a_child_exception_reaches_the_caller(self, monkeypatch, jobs):
+        fail_on(monkeypatch, f"p{jobs - 1}", "no such path")  # the last child's first graph
+        items = [(f"p{k}", gen_path, (k,)) for k in range(2 * jobs)]
+        with pytest.raises(ValueError) as exc:
+            run_census(items, jobs=jobs)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "no such path"
+
+    def test_a_parent_exception_leaves_no_child(self, monkeypatch):
+        # Every graph but the parent's first sleeps far longer than the
+        # test may take, so the children are still running at the raise.
+        fail_on(monkeypatch, "p0", "first graph", others=lambda: time.sleep(60))
+        items = [(f"p{k}", gen_path, (k,)) for k in range(6)]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^first graph$"):
+            run_census(items, jobs=3)
+        assert time.perf_counter() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_that_dies_is_an_error(self, monkeypatch):
+        # As a child killed from outside would: it ends without its rows.
+        real, parent = reports.analyze_graph, os.getpid()
+
+        def patched(g, src="", **kw):
+            if src == "p1" and os.getpid() != parent:
+                os._exit(1)
+            return real(g, src, **kw)
+
+        monkeypatch.setattr(reports, "analyze_graph", patched)
+        items = [(f"p{k}", gen_path, (k,)) for k in range(4)]
+        with pytest.raises(ChildProcessError, match="ended before sending all its rows"):
+            run_census(items, jobs=2)
