@@ -669,6 +669,7 @@ class TestVerifyLemmas:
                 "7c0eeb541c10662077d726cd95435aa181b13db852457825dad08014771b708d",
             ),
             (per_pair_trap(), "4b9628c831a1211c82d256cf5c775d1ea5004bacd523746ff825efe198b4a668"),
+            (["gap", "3"], "d0c48c14efa0384f8a54adba0618a1744a64d14c71439a760de8f6e79dfc4b93"),
         ],
     )
     def test_every_triple_pinned(self, capsys, monkeypatch, spec, digest):
