@@ -23,11 +23,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .alternating import LemmaReport, verify_lemmas
 from .graph import Graph
-from .matching import max_matching
 from .pairs import (
     DEFAULT_NODE_BUDGET,
     PAIR_ORACLE_MAX_EDGES,
     CanonicalTriple,
+    PairResult,
     canonical_triple,
     canonical_triples,
     solve_pair,
@@ -156,7 +156,6 @@ def analyze_graph(
 
     t0 = perf_counter()
     pair = solve_pair(g, node_budget)
-    nu = pair.nu
     timings["pair_solver"] = perf_counter() - t0
 
     certified = pair.status == "optimal"
@@ -174,12 +173,10 @@ def analyze_graph(
         skipped = f"over ceiling ({g.m} > {PAIR_ORACLE_MAX_EDGES} edges)"
     else:
         triple = canonical_triple(g)
-        sizes = (len(triple.m), len(triple.h) + len(triple.h_prime), len(triple.h))
-        report = verify_lemmas(g, triple, sizes[0])
+        report = verify_lemmas(g, triple, len(triple.m))
         failures = report.failures()
         passed = len(report.checks) - len(failures)
-        # Dual-route consistency: solve_pair vs exhaustive enumeration.
-        if sizes != (nu, pair.lambda2, pair.alpha2):
+        if _solver_mismatch(pair, triple):
             failures.append("solver_vs_enumeration_mismatch")
     timings["lemmas"] = perf_counter() - t0
 
@@ -187,7 +184,7 @@ def analyze_graph(
         source=source,
         n=g.n,
         m=g.m,
-        nu=nu,
+        nu=pair.nu,
         lambda2=pair.lambda2,
         alpha2=pair.alpha2,
         status="ok" if certified else pair.status,
@@ -201,21 +198,32 @@ def analyze_graph(
     )
 
 
+def _solver_mismatch(pair: PairResult, triple: CanonicalTriple) -> str | None:
+    """The one solver cross-check: ``None`` when the triple's sizes (|M|,
+    |H| + |H'|, |H|) equal the solver's (nu, lambda2, alpha2), else a
+    message naming both."""
+    solver = (pair.nu, pair.lambda2, pair.alpha2)
+    sizes = (len(triple.m), len(triple.h) + len(triple.h_prime), len(triple.h))
+    return None if sizes == solver else (
+        f"solver_vs_enumeration_mismatch: solver (nu, lambda2, alpha2) = {solver}, "
+        f"triple (|M|, |H| + |H'|, |H|) = {sizes}"
+    )
+
+
 class SolverMismatch(Exception):
-    """The blossom's nu and the triples' |m| disagree: a check failure, as
-    ``solver_vs_enumeration_mismatch`` is in a report, not a bad input."""
+    """The solver's optima and the triples' sizes disagree: a check failure,
+    as ``solver_vs_enumeration_mismatch`` is in a report, not a bad input."""
 
 
 def verify_graph(g: Graph) -> list[tuple[CanonicalTriple, LemmaReport]]:
-    """Run the lemma suite over every maximizing triple of ``g``, with one
-    nu, the blossom's; raises ``SolverMismatch`` when the triples' |m|
-    differs from it."""
-    nu = len(max_matching(g))
+    """Run the lemma suite over every maximizing triple of ``g`` with the
+    solver's nu.  Raises ``ValueError`` over the triple-search ceiling, before
+    any solve, and ``SolverMismatch`` when the triples' sizes are not the solver's optima."""
     triples = canonical_triples(g)
-    size = len(triples[0].m)
-    if size != nu:
-        raise SolverMismatch(f"solver_vs_enumeration_mismatch: blossom nu {nu}, triples' |m| {size}")
-    return [(t, verify_lemmas(g, t, nu)) for t in triples]
+    pair = solve_pair(g, DEFAULT_NODE_BUDGET)
+    if mismatch := _solver_mismatch(pair, triples[0]):
+        raise SolverMismatch(mismatch)
+    return [(t, verify_lemmas(g, t, pair.nu)) for t in triples]
 
 
 class CensusSummary(NamedTuple):
@@ -256,15 +264,6 @@ class CensusSummary(NamedTuple):
 CensusItem = tuple[str, Callable[..., Graph], tuple]
 
 
-def _census_worker(item: tuple[str, Callable[..., Graph], tuple, int, bool]) -> GraphReport:
-    """Build one graph from its recipe, ``make(*args)``, and analyze it
-    without timings; the one per-graph path, in the parent or in a child."""
-    source, make, args, node_budget, lemmas = item
-    return analyze_graph(
-        make(*args), source, node_budget=node_budget, lemmas=lemmas, with_timings=False
-    )
-
-
 def run_census(
     items: Sequence[CensusItem],
     *,
@@ -289,7 +288,10 @@ def run_census(
     reports: list[GraphReport] = [None] * len(items)  # type: ignore[list-item]
 
     def share(k: int) -> list[GraphReport]:  # items k, k + jobs, k + 2*jobs, ...
-        return [_census_worker((*items[i], node_budget, lemmas)) for i in range(k, len(items), jobs)]
+        return [
+            analyze_graph(make(*args), source, node_budget=node_budget, lemmas=lemmas, with_timings=False)
+            for source, make, args in items[k::jobs]
+        ]
     children = []
     try:
         for k in range(1, jobs):

@@ -469,7 +469,7 @@ class TestCensus:
         ],
     )
     def test_bad_random_parameters_are_usage_errors(self, capsys, monkeypatch, n, p, count, message):
-        # Refused before any graph is built or the pool starts, whatever COUNT.
+        # Refused before any graph is built or a worker is forked, whatever COUNT.
         started = []
         monkeypatch.setattr(cli, "run_census", lambda *a, **k: started.append(a))
         code, out, err = run_cli(capsys, "census", "--random", n, p, count, "--jobs", "2")
@@ -555,11 +555,17 @@ def failing_lemma(g, t, nu):
 
 
 class TestCheckFailureExit1:
-    """``solve`` and ``census`` share one failure rule, and exit 1 on it."""
+    """``solve`` and ``census`` share one failure rule, and exit 1 on it;
+    ``verify-lemmas`` exits 1 on its solver cross-check."""
 
     P3 = [(0, 1), (1, 2), (2, 3)]
     TIGHT1 = sorted(gen_tight_family(gen_complete(2)).edges)
     MISMATCH = ("lemma", "solver_vs_enumeration_mismatch")
+    # The solver misses lambda2 = 3 that the triple search finds.
+    LAMBDA2_MISS = (P3, fake_pair(2, 2, [(0, 1), (2, 3)], [], 2))
+    # The solver's pair is right and its nu is 4, not 5: a ratio of 1/1
+    # that breaks no bound, caught by the triple's |m| alone.
+    NU_MISS = (TIGHT1, true_pair_with_nu(4))
 
     @pytest.mark.parametrize(
         "edges, pair, lemmas, found",
@@ -573,11 +579,8 @@ class TestCheckFailureExit1:
             ([(0, 1)], fake_pair(1, 1, [(0, 1)], [], 0), None,
              [("report_invariant", "nu=0, alpha2=1, lambda2=1"), MISMATCH]),
             (P3, None, failing_lemma, [("lemma", "l4_smaller_side_size_identity")]),
-            # The solver misses lambda2 = 3 that the triple search finds.
-            (P3, fake_pair(2, 2, [(0, 1), (2, 3)], [], 2), None, [MISMATCH]),
-            # The solver's pair is right and its nu is 4, not 5: a ratio of
-            # 1/1 that breaks no bound, caught by the triple's |m| alone.
-            (TIGHT1, true_pair_with_nu(4), None, [MISMATCH]),
+            (*LAMBDA2_MISS, None, [MISMATCH]),
+            (*NU_MISS, None, [MISMATCH]),
         ],
         ids=["ratio_bound", "report_invariant", "lemma", "solver_vs_enumeration_mismatch", "nu_mismatch"],
     )
@@ -594,6 +597,22 @@ class TestCheckFailureExit1:
         assert code == 1
         failures = json.loads(out)["failures"]
         assert failures == [{"source": str(path), "kind": kind, "detail": detail} for kind, detail in found]
+
+    @pytest.mark.parametrize(
+        "edges, pair, solver, triple",
+        [(*LAMBDA2_MISS, (2, 2, 2), (2, 3, 2)), (*NU_MISS, (4, 8, 4), (5, 8, 4))],
+        ids=["solver_vs_enumeration_mismatch", "nu_mismatch"],
+    )
+    def test_verify_lemmas(self, capsys, monkeypatch, tmp_path, edges, pair, solver, triple):
+        monkeypatch.setattr(reports, "solve_pair", pair)
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        code, out, err = run_cli(capsys, "verify-lemmas", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: solver_vs_enumeration_mismatch: solver (nu, lambda2, alpha2) = {solver}, "
+            f"triple (|M|, |H| + |H'|, |H|) = {triple}\n"
+        )
 
 
 class TestVerifyLemmas:
@@ -617,13 +636,15 @@ class TestVerifyLemmas:
         assert json.loads(out)["triple_count"] == 1
 
     def test_nu_mismatch_is_a_check_failure(self, capsys, monkeypatch):
-        # A blossom that drops an edge disagrees with the triples' |m|.
-        blossom = reports.max_matching
-        monkeypatch.setattr(reports, "max_matching", lambda g: frozenset(sorted(blossom(g))[1:]))
+        # A solver whose nu is one short disagrees with the triples' |M|.
+        monkeypatch.setattr(reports, "solve_pair", true_pair_with_nu(4))
         monkeypatch.setattr(sys, "stdin", io.StringIO(to_edge_list(gen_tight_family(gen_complete(2)))))
         code, out, err = run_cli(capsys, "verify-lemmas", "-")
         assert (code, out) == (1, "")
-        assert err == "error: solver_vs_enumeration_mismatch: blossom nu 4, triples' |m| 5\n"
+        assert err == (
+            "error: solver_vs_enumeration_mismatch: solver (nu, lambda2, alpha2) = (4, 8, 4), "
+            "triple (|M|, |H| + |H'|, |H|) = (5, 8, 4)\n"
+        )
 
     def test_over_ceiling_refused(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
@@ -780,7 +801,7 @@ class TestStartup:
     """Every CLI call pays for what ``twomatch.cli`` imports."""
 
     #: Modules the CLI must not load at start: record decorators and their
-    #: introspection, the process pool, and rational numbers.
+    #: introspection, ``multiprocessing``, and rational numbers.
     HEAVY = {"dataclasses", "inspect", "multiprocessing", "fractions", "decimal"}
 
     def loaded(self, code: str) -> set[str]:

@@ -45,8 +45,8 @@ def row(source: str, nu: int, alpha2: int, status: str = "ok") -> GraphReport:
 def census_of(monkeypatch, rows: list[GraphReport]):
     """``run_census`` over the given rows, in order, with nothing solved."""
     by_source = {r.source: r for r in rows}
-    monkeypatch.setattr(reports, "_census_worker", lambda item: by_source[item[0]])
-    summary, _ = run_census([(r.source, None, ()) for r in rows], with_timings=False)
+    monkeypatch.setattr(reports, "analyze_graph", lambda g, source, **kw: by_source[source])
+    summary, _ = run_census([(r.source, gen_path, (r.n,)) for r in rows], with_timings=False)
     return summary.max_ratio, summary.max_ratio_source
 
 
@@ -113,12 +113,15 @@ def count_max_matching(monkeypatch) -> list:
 
 
 class TestOneNuPerGraph:
-    def test_verify_graph_runs_the_blossom_once(self, monkeypatch):
+    def test_verify_graph_runs_no_blossom_beyond_solve_pairs(self, monkeypatch):
         g = gen_tight_family(gen_complete(2))
         runs = count_max_matching(monkeypatch)
+        solve_pair(g)
+        alone = len(runs)
+        runs.clear()
         results = verify_graph(g)
         assert len(results) == 4
-        assert len(runs) == 1
+        assert len(runs) == alone
 
     def test_lemma_path_adds_no_blossom_run(self, monkeypatch):
         runs = count_max_matching(monkeypatch)
