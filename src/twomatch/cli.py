@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from itertools import islice
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .graph import (
     Graph,
@@ -35,7 +35,6 @@ from .graph6 import Graph6Error, encode_graph6, iter_graph6, parse_graph6
 from .pairs import DEFAULT_NODE_BUDGET
 from .reports import (
     SCHEMA_VERSION,
-    CensusItem,
     SolverMismatch,
     _edge_lists,
     analyze_graph,
@@ -184,15 +183,13 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _census_corpus(args: argparse.Namespace) -> tuple[str, list[CensusItem]]:
-    """The corpus name and its recipes ``(source, make, args)``: generated
-    graphs travel as their generator and its arguments, so ``run_census``
-    builds them where it analyzes them; graphs read here travel as
-    ``(Graph, (n, edges))``."""
+def _census_corpus(args: argparse.Namespace) -> tuple[str, int, Callable[[int], tuple[str, Graph]]]:
+    """The corpus name, its size and ``item(i)``, graph i as ``(source,
+    graph)``: generated graphs are made from i where ``run_census``
+    analyzes them; graphs read here are parsed once and looked up."""
     if args.exhaustive is not None:
         n = args.exhaustive
-        items = [(f"n{n}#{i}", _enumerated_graph, (n, i)) for i in range(_enumeration_size(n))]
-        return f"exhaustive n={n}", items
+        return f"exhaustive n={n}", _enumeration_size(n), lambda i: (f"n{n}#{i}", _enumerated_graph(n, i))
     if args.random is not None:
         n = _number(int, args.random[0], "--random N")
         p = _number(float, args.random[1], "--random P")
@@ -200,29 +197,32 @@ def _census_corpus(args: argparse.Namespace) -> tuple[str, list[CensusItem]]:
         if count < 0:
             raise ValueError(f"--random COUNT must be at least 0, got {count}")
         _check_gnp(n, p)  # before any graph is built
-        items = [
-            (f"random(n={n},p={p},seed={args.seed + i})", gen_random, (n, p, args.seed + i))
-            for i in range(count)
-        ]
-        return f"random n={n} p={p} count={count} seed={args.seed}", items
+        return (
+            f"random n={n} p={p} count={count} seed={args.seed}",
+            count,
+            lambda i: (f"random(n={n},p={p},seed={args.seed + i})", gen_random(n, p, args.seed + i)),
+        )
     if args.family is not None:
         lo, hi = _parse_k_range(args.k_range)
         family = _ONE_INTEGER[args.family]
-        items = [(f"{args.family}(k={k})", family, (k,)) for k in range(lo, hi + 1)]
-        return f"family {args.family} k={lo}..{hi}", items
+        return (
+            f"family {args.family} k={lo}..{hi}",
+            hi - lo + 1,
+            lambda i: (f"{args.family}(k={lo + i})", family(lo + i)),
+        )
     text = _read_text(args.input)
     if args.format == "graph6":
-        items = [(f"{args.input}#{i}", Graph, (g.n, g.edges)) for i, g in enumerate(iter_graph6(text))]
+        graphs = [(f"{args.input}#{i}", g) for i, g in enumerate(iter_graph6(text))]
     else:
-        g = parse_edge_list(text)
-        items = [(args.input, Graph, (g.n, g.edges))]
-    return f"file {args.input}", items
+        graphs = [(args.input, parse_edge_list(text))]
+    return f"file {args.input}", len(graphs), graphs.__getitem__
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    corpus, items = _census_corpus(args)
+    corpus, count, item = _census_corpus(args)
     summary, reports = run_census(
-        items,
+        count,
+        item,
         corpus=corpus,
         jobs=args.jobs,
         node_budget=args.node_budget,

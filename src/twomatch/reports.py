@@ -9,8 +9,8 @@ failure rule: a broken ratio bound, optima out of order, or a lemma
 failure.  A census maps the analysis over a corpus, aggregates exact
 maxima and histograms over the certified rows, and collects those
 failures; graphs are independent, so sweeps fan out over forked children
-with input order preserved in the output.  A census item is a recipe for
-its graph, which is built in the process that analyzes it.
+with input order preserved in the output.  A census addresses its corpus
+by index: graph i is made, or looked up, in the process that analyzes it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import marshal
 import os
 from math import gcd
 from time import perf_counter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .alternating import LemmaReport, verify_lemmas
 from .graph import Graph
@@ -260,12 +260,9 @@ class CensusSummary(NamedTuple):
         return doc
 
 
-#: A census item: the graph's source name and its recipe, ``make(*args)``.
-CensusItem = tuple[str, Callable[..., Graph], tuple]
-
-
 def run_census(
-    items: Sequence[CensusItem],
+    count: int,
+    item: Callable[[int], tuple[str, Graph]],
     *,
     corpus: str = "",
     jobs: int = 1,
@@ -273,24 +270,23 @@ def run_census(
     lemmas: bool = True,
     with_timings: bool = True,
 ) -> tuple[CensusSummary, list[GraphReport]]:
-    """Analyze every graph of a corpus; row order follows input order.
+    """Analyze graphs 0 .. count - 1 of a corpus; row order follows input order.
 
-    Each item is a recipe ``(source, make, args)``: the graph is
-    ``make(*args)``, built in the process that analyzes it; ``make`` may be
-    any callable, since recipes are inherited, not pickled.  At ``jobs =
-    J`` the parent forks J - 1 children, fewer if there are fewer items:
-    child k analyzes items k, k + J, ... and sends back their rows in
-    marshal batches, while the parent analyzes items 0, J, ...  Without
-    ``os.fork``, one process does every job.
+    ``item(i)`` returns graph i as ``(source, graph)``, in the process that
+    analyzes it; ``item`` may be any callable, since children inherit it.
+    At ``jobs = J`` the parent forks J - 1 children, fewer if there are
+    fewer graphs: child k analyzes graphs k, k + J, ... and sends back all
+    its rows as one marshal blob, while the parent analyzes graphs 0, J, ...
+    Without ``os.fork``, one process does every job.
     """
     start = perf_counter()
-    jobs = max(1, min(jobs, len(items))) if hasattr(os, "fork") else 1
-    reports: list[GraphReport] = [None] * len(items)  # type: ignore[list-item]
+    jobs = max(1, min(jobs, count)) if hasattr(os, "fork") else 1
+    reports: list[GraphReport] = [None] * count  # type: ignore[list-item]
 
-    def share(k: int) -> list[GraphReport]:  # items k, k + jobs, k + 2*jobs, ...
+    def share(k: int) -> list[GraphReport]:  # graphs k, k + jobs, k + 2*jobs, ...
         return [
-            analyze_graph(make(*args), source, node_budget=node_budget, lemmas=lemmas, with_timings=False)
-            for source, make, args in items[k::jobs]
+            analyze_graph(g, source, node_budget=node_budget, lemmas=lemmas, with_timings=False)
+            for source, g in map(item, range(k, count, jobs))
         ]
     children = []
     try:
@@ -301,24 +297,21 @@ def run_census(
                     os.close(read)
                     with open(write, "wb") as pipe:
                         try:
-                            rows = share(k)
-                            for b in range(0, len(rows), 64):
-                                marshal.dump(marshal.dumps([tuple(r) for r in rows[b : b + 64]]), pipe)
+                            pipe.write(marshal.dumps([tuple(r) for r in share(k)]))
                         except Exception as exc:
                             import pickle
-                            marshal.dump(marshal.dumps(pickle.dumps(exc)), pipe)
+                            pipe.write(marshal.dumps(pickle.dumps(exc)))
                 finally:
                     os._exit(0)
             os.close(write)  # before the next fork, so that only child k holds it
             children.append((pid, open(read, "rb")))
         reports[::jobs] = share(0)
         for k, (_, pipe) in enumerate(children, 1):
-            for first in range(k, len(items), 64 * jobs):
-                rows = marshal.loads(marshal.load(pipe))
-                if isinstance(rows, bytes):
-                    import pickle
-                    raise pickle.loads(rows)
-                reports[first : first + 64 * jobs : jobs] = map(GraphReport._make, rows)
+            rows = marshal.loads(pipe.read())
+            if isinstance(rows, bytes):
+                import pickle
+                raise pickle.loads(rows)
+            reports[k::jobs] = map(GraphReport._make, rows)
     except EOFError:
         raise ChildProcessError("a census worker ended before sending all its rows") from None
     finally:

@@ -236,7 +236,7 @@ def test_criterion_8_graph6_roundtrip():
 
 def test_acceptance_summary_via_census():
     """End-to-end: the census machinery reproduces the bound and tightness."""
-    items = [(f"tight(k={k})", gen_tight_family, (gen_complete(2) if k == 1 else gen_cycle(2 * k),)) for k in (1, 2)]
-    summary, _ = run_census(items, corpus="tight families", lemmas=True)
+    pairs = [(f"tight(k={k})", gen_tight_family(gen_complete(2) if k == 1 else gen_cycle(2 * k))) for k in (1, 2)]
+    summary, _ = run_census(len(pairs), pairs.__getitem__, corpus="tight families", lemmas=True)
     assert not summary.failures
     assert summary.max_ratio == "5/4"

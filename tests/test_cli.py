@@ -284,12 +284,13 @@ class TestCensus:
             "a734531e71ef06870b8c703f2d943b4462cb98b7996c48f805b60637b91f0b61"
         )
 
-    def test_exhaustive_items_are_recipes(self):
-        # Each graph is built once, in the worker, from (n, its index).
+    def test_exhaustive_item_is_graph_i(self):
+        # Each graph is built once, in the worker, from its index.
         for n in range(6):
-            _, items = cli._census_corpus(cli.build_parser().parse_args(["census", "--exhaustive", str(n)]))
-            assert all(type(x) is int for _, _, args in items for x in args)
-            assert [make(*args) for _, make, args in items] == list(enumerate_graphs(n))
+            _, count, item = cli._census_corpus(cli.build_parser().parse_args(["census", "--exhaustive", str(n)]))
+            graphs = list(enumerate_graphs(n))
+            assert count == len(graphs)
+            assert [item(i) for i in range(count)] == [(f"n{n}#{i}", g) for i, g in enumerate(graphs)]
 
     @pytest.mark.parametrize(
         "g, digest",
@@ -599,14 +600,23 @@ class TestCheckFailureExit1:
         assert failures == [{"source": str(path), "kind": kind, "detail": detail} for kind, detail in found]
 
     @pytest.mark.parametrize(
-        "edges, pair, solver, triple",
-        [(*LAMBDA2_MISS, (2, 2, 2), (2, 3, 2)), (*NU_MISS, (4, 8, 4), (5, 8, 4))],
-        ids=["solver_vs_enumeration_mismatch", "nu_mismatch"],
+        "edges, pair, solver, triple, stdin",
+        [
+            (*LAMBDA2_MISS, (2, 2, 2), (2, 3, 2), False),
+            (*NU_MISS, (4, 8, 4), (5, 8, 4), False),
+            (*NU_MISS, (4, 8, 4), (5, 8, 4), True),
+        ],
+        ids=["solver_vs_enumeration_mismatch", "nu_mismatch", "nu_mismatch_stdin"],
     )
-    def test_verify_lemmas(self, capsys, monkeypatch, tmp_path, edges, pair, solver, triple):
+    def test_verify_lemmas(self, capsys, monkeypatch, tmp_path, edges, pair, solver, triple, stdin):
         monkeypatch.setattr(reports, "solve_pair", pair)
-        path = tmp_path / "g.txt"
-        path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        text = "".join(f"{u} {v}\n" for u, v in edges)
+        if stdin:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            path = "-"
+        else:
+            path = tmp_path / "g.txt"
+            path.write_text(text)
         code, out, err = run_cli(capsys, "verify-lemmas", str(path))
         assert (code, out) == (1, "")
         assert err == (
@@ -634,17 +644,6 @@ class TestVerifyLemmas:
         code, out, _ = run_cli(capsys, "verify-lemmas", str(path))
         assert code == 0
         assert json.loads(out)["triple_count"] == 1
-
-    def test_nu_mismatch_is_a_check_failure(self, capsys, monkeypatch):
-        # A solver whose nu is one short disagrees with the triples' |M|.
-        monkeypatch.setattr(reports, "solve_pair", true_pair_with_nu(4))
-        monkeypatch.setattr(sys, "stdin", io.StringIO(to_edge_list(gen_tight_family(gen_complete(2)))))
-        code, out, err = run_cli(capsys, "verify-lemmas", "-")
-        assert (code, out) == (1, "")
-        assert err == (
-            "error: solver_vs_enumeration_mismatch: solver (nu, lambda2, alpha2) = (4, 8, 4), "
-            "triple (|M|, |H| + |H'|, |H|) = (5, 8, 4)\n"
-        )
 
     def test_over_ceiling_refused(self, capsys, tmp_path):
         path = tmp_path / "big.txt"

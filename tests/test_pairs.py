@@ -683,8 +683,8 @@ def test_oracle_is_off_the_production_path(monkeypatch, tmp_path, capsys):
         assert (r.lemmas_skipped, r.lemmas_passed, r.lemma_failures) == (None, 15, ())
         assert all(report.ok for _, report in verify_graph(g))
     tight, pendant = tight_and_pendant()
-    items = [("tight", Graph, (tight.n, tight.edges)), ("gap", gen_gap_family, (3,)), ("random", gen_random, (8, 0.4, 5))]
-    summary, rows = run_census(items, jobs=1, with_timings=False)
+    graphs = [("tight", tight), ("gap", gen_gap_family(3)), ("random", gen_random(8, 0.4, 5))]
+    summary, rows = run_census(len(graphs), graphs.__getitem__, jobs=1, with_timings=False)
     assert not summary.failures and all(r.lemmas_skipped is None for r in rows)
     path = tmp_path / "pendant.txt"
     path.write_text(to_edge_list(pendant))

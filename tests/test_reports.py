@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from twomatch import (
-    Graph,
     GraphReport,
     analyze_graph,
     gen_complete,
@@ -46,7 +45,8 @@ def census_of(monkeypatch, rows: list[GraphReport]):
     """``run_census`` over the given rows, in order, with nothing solved."""
     by_source = {r.source: r for r in rows}
     monkeypatch.setattr(reports, "analyze_graph", lambda g, source, **kw: by_source[source])
-    summary, _ = run_census([(r.source, gen_path, (r.n,)) for r in rows], with_timings=False)
+    pairs = [(r.source, gen_path(r.n)) for r in rows]
+    summary, _ = run_census(len(pairs), pairs.__getitem__, with_timings=False)
     return summary.max_ratio, summary.max_ratio_source
 
 
@@ -86,7 +86,8 @@ class TestRecords:
     def test_pickle_round_trip(self):
         g = gen_tight_family(gen_complete(2))
         report = analyze_graph(g, "tight", with_timings=False, with_witness=True)
-        summary, _ = run_census([("gap", gen_gap_family, (3,)), ("tight", Graph, (g.n, g.edges))], corpus="mixed")
+        pairs = [("gap", gen_gap_family(3)), ("tight", g)]
+        summary, _ = run_census(len(pairs), pairs.__getitem__, corpus="mixed")
         for value in (g, report, summary):
             copy = pickle.loads(pickle.dumps(value))
             assert type(copy) is type(value)
@@ -139,24 +140,30 @@ class TestForkedCensus:
 
     @pytest.mark.parametrize("jobs", [2, 3, 4])
     def test_rows_equal_the_serial_rows(self, jobs):
-        # More graphs than one batch per process, and a count no job count divides.
-        items = [(f"r{s}", gen_random, (6, 0.5, s)) for s in range(64 * jobs * 2 + 5)]
-        serial = run_census(items, with_timings=False, lemmas=False)
-        forked = run_census(items, jobs=jobs, with_timings=False, lemmas=False)
+        # A count that the job count does not divide.
+        pairs = [(f"r{s}", gen_random(6, 0.5, s)) for s in range(64 * jobs * 2 + 5)]
+        serial = run_census(len(pairs), pairs.__getitem__, with_timings=False, lemmas=False)
+        forked = run_census(len(pairs), pairs.__getitem__, jobs=jobs, with_timings=False, lemmas=False)
         assert forked == serial
         assert {type(r) for r in forked[1]} == {GraphReport}
 
-    def test_any_callable_makes_the_graph(self):
-        # Recipes are inherited, not pickled: a lambda is a recipe too.
-        items = [(f"p{k}", lambda k: gen_path(k), (k,)) for k in range(5)]
-        assert run_census(items, jobs=2, with_timings=False) == run_census(items, with_timings=False)
+    def test_a_lambda_item_gives_the_serial_rows(self):
+        # Children inherit ``item``, nothing is pickled: a lambda will do.
+        item = lambda i: (f"p{i}", gen_path(i))  # noqa: E731
+        assert run_census(5, item, jobs=2, with_timings=False) == run_census(5, item, with_timings=False)
+
+    def test_without_fork_one_process_does_every_job(self, monkeypatch):
+        pairs = [(f"p{k}", gen_path(k)) for k in range(7)]
+        serial = run_census(len(pairs), pairs.__getitem__, with_timings=False)
+        monkeypatch.delattr(os, "fork")
+        assert run_census(len(pairs), pairs.__getitem__, jobs=3, with_timings=False) == serial
 
     @pytest.mark.parametrize("jobs", [2, 3, 4])
     def test_a_child_exception_reaches_the_caller(self, monkeypatch, jobs):
         fail_on(monkeypatch, f"p{jobs - 1}", "no such path")  # the last child's first graph
-        items = [(f"p{k}", gen_path, (k,)) for k in range(2 * jobs)]
+        pairs = [(f"p{k}", gen_path(k)) for k in range(2 * jobs)]
         with pytest.raises(ValueError) as exc:
-            run_census(items, jobs=jobs)
+            run_census(len(pairs), pairs.__getitem__, jobs=jobs)
         assert type(exc.value) is ValueError
         assert str(exc.value) == "no such path"
 
@@ -164,10 +171,10 @@ class TestForkedCensus:
         # Every graph but the parent's first sleeps far longer than the
         # test may take, so the children are still running at the raise.
         fail_on(monkeypatch, "p0", "first graph", others=lambda: time.sleep(60))
-        items = [(f"p{k}", gen_path, (k,)) for k in range(6)]
+        pairs = [(f"p{k}", gen_path(k)) for k in range(6)]
         start = time.perf_counter()
         with pytest.raises(ValueError, match="^first graph$"):
-            run_census(items, jobs=3)
+            run_census(len(pairs), pairs.__getitem__, jobs=3)
         assert time.perf_counter() - start < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -182,6 +189,6 @@ class TestForkedCensus:
             return real(g, src, **kw)
 
         monkeypatch.setattr(reports, "analyze_graph", patched)
-        items = [(f"p{k}", gen_path, (k,)) for k in range(4)]
+        pairs = [(f"p{k}", gen_path(k)) for k in range(4)]
         with pytest.raises(ChildProcessError, match="ended before sending all its rows"):
-            run_census(items, jobs=2)
+            run_census(len(pairs), pairs.__getitem__, jobs=2)
