@@ -28,19 +28,6 @@ from .graph import Edge, Graph, _paths_and_cycles
 from .matching import matching_violation
 from .pairs import CanonicalTriple
 
-__all__ = [
-    "AlternatingComponent",
-    "Decomposition",
-    "TripleArtifacts",
-    "Verdict",
-    "LemmaReport",
-    "decompose",
-    "check_property_1",
-    "check_property_2",
-    "derive_artifacts",
-    "verify_lemmas",
-]
-
 
 class AlternatingComponent(NamedTuple):
     """One path or even cycle of the symmetric difference of two matchings.

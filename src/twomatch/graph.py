@@ -15,23 +15,6 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator, NamedTuple
 
-__all__ = [
-    "Edge",
-    "Graph",
-    "EdgeListError",
-    "edge",
-    "parse_edge_list",
-    "to_edge_list",
-    "gen_path",
-    "gen_cycle",
-    "gen_complete",
-    "gen_random",
-    "gen_tight_family",
-    "gen_gap_family",
-    "enumerate_graphs",
-    "ENUMERATION_MAX_VERTICES",
-    "MAX_VERTICES",
-]
 
 Edge = tuple[int, int]
 

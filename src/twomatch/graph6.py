@@ -15,7 +15,6 @@ from typing import Iterator
 
 from .graph import MAX_VERTICES, Graph
 
-__all__ = ["Graph6Error", "parse_graph6", "encode_graph6", "iter_graph6"]
 
 _HEADER_PREFIX = ">>graph6<<"
 

@@ -25,13 +25,6 @@ from typing import Iterable
 
 from .graph import Edge, Graph
 
-__all__ = [
-    "matching_violation",
-    "max_matching",
-    "max_matching_bruteforce",
-    "maximum_matchings",
-    "BRUTEFORCE_MAX_EDGES",
-]
 
 #: Edge-count ceiling for the exhaustive oracle; keeps suite runtimes sane.
 BRUTEFORCE_MAX_EDGES = 24

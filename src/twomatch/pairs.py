@@ -75,17 +75,6 @@ from typing import Iterable, Iterator, NamedTuple
 from .graph import Edge, Graph, _paths_and_cycles
 from .matching import _edge_set, _matchings, max_matching, max_matching_bruteforce
 
-__all__ = [
-    "PairResult",
-    "CanonicalTriple",
-    "solve_pair",
-    "solve_pair_bruteforce",
-    "enumerate_m2",
-    "canonical_triple",
-    "canonical_triples",
-    "DEFAULT_NODE_BUDGET",
-    "PAIR_ORACLE_MAX_EDGES",
-]
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -290,18 +279,18 @@ def _frontier_dp(
     """
     weight = (0, m + 2, m + 1)
     slot: dict[int, int] = {}
-    free: list[int] = []  # released slots, least first
+    free: list[int] = []  # released slots; any one gives the same table
     table: dict[int, tuple[int, tuple | None]] = {0: (0, None)}
     nodes = 0
     for edge, gone in program:
         for x in edge:
             if x not in slot:
-                slot[x] = heapq.heappop(free) if free else len(slot)
+                slot[x] = free.pop() if free else len(slot)
         one = (1 << 2 * slot[edge[0]]) | (1 << 2 * slot[edge[1]])
         keep = -1
         for x in gone:
             keep &= ~(3 << 2 * slot[x])
-            heapq.heappush(free, slot.pop(x))
+            free.append(slot.pop(x))
         nodes += len(table)
         if nodes > node_budget:
             return None, nodes

@@ -33,15 +33,6 @@ from .pairs import (
     solve_pair,
 )
 
-__all__ = [
-    "GraphReport",
-    "CensusSummary",
-    "SCHEMA_VERSION",
-    "SolverMismatch",
-    "analyze_graph",
-    "verify_graph",
-    "run_census",
-]
 
 SCHEMA_VERSION = 4
 
@@ -311,7 +302,9 @@ def run_census(
             if isinstance(rows, bytes):
                 import pickle
                 raise pickle.loads(rows)
-            reports[k::jobs] = map(GraphReport._make, rows)
+            for j, row in enumerate(rows):  # in place: each plain tuple goes as its report comes
+                rows[j] = GraphReport._make(row)
+            reports[k::jobs] = rows
     except EOFError:
         raise ChildProcessError("a census worker ended before sending all its rows") from None
     finally:

@@ -9,9 +9,10 @@ from typing import Iterable, NamedTuple
 import pytest
 from hypothesis import strategies as st
 
-from twomatch import Graph, Verdict, decompose, edge, matching_violation, max_matching, reports
-from twomatch.alternating import _property_3, _property_4
-from twomatch.matching import _find_path_from
+from twomatch import reports
+from twomatch.alternating import Verdict, _property_3, _property_4, decompose
+from twomatch.graph import Graph, edge
+from twomatch.matching import _find_path_from, matching_violation, max_matching
 
 
 def _children_of(parent: int) -> list[int]:

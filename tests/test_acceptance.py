@@ -9,25 +9,20 @@ from __future__ import annotations
 
 import pytest
 
-from twomatch import (
+from twomatch.alternating import verify_lemmas
+from twomatch.graph import (
     Graph,
-    canonical_triple,
-    canonical_triples,
-    encode_graph6,
     enumerate_graphs,
     gen_complete,
     gen_cycle,
     gen_gap_family,
     gen_random,
     gen_tight_family,
-    max_matching,
-    max_matching_bruteforce,
-    parse_graph6,
-    run_census,
-    solve_pair,
-    solve_pair_bruteforce,
-    verify_lemmas,
 )
+from twomatch.graph6 import encode_graph6, parse_graph6
+from twomatch.matching import max_matching, max_matching_bruteforce
+from twomatch.pairs import canonical_triple, canonical_triples, solve_pair, solve_pair_bruteforce
+from twomatch.reports import run_census
 
 from conftest import find_augmenting_path, petersen
 

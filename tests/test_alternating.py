@@ -5,32 +5,30 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from twomatch import (
+from twomatch import alternating
+from twomatch.alternating import (
     AlternatingComponent,
-    CanonicalTriple,
     Decomposition,
-    Graph,
     Verdict,
-    canonical_triple,
-    canonical_triples,
+    _property_3,
     check_property_1,
     check_property_2,
     decompose,
     derive_artifacts,
+    verify_lemmas,
+)
+from twomatch.graph import (
+    Graph,
     enumerate_graphs,
-    enumerate_m2,
     gen_complete,
     gen_cycle,
     gen_gap_family,
     gen_path,
     gen_random,
     gen_tight_family,
-    max_matching,
-    verify_lemmas,
 )
-
-from twomatch import alternating
-from twomatch.alternating import _property_3
+from twomatch.matching import max_matching
+from twomatch.pairs import CanonicalTriple, canonical_triple, canonical_triples, enumerate_m2
 from conftest import check_property_3, check_property_4, graph_with_matchings, greedy_matching
 
 

@@ -10,23 +10,21 @@ from pathlib import Path
 
 import pytest
 
-from twomatch import (
+from twomatch import cli, reports
+from twomatch.alternating import Verdict, verify_lemmas
+from twomatch.cli import main
+from twomatch.graph import (
     Graph,
-    PairResult,
-    Verdict,
-    encode_graph6,
     enumerate_graphs,
     gen_complete,
     gen_cycle,
     gen_gap_family,
     gen_random,
     gen_tight_family,
-    solve_pair,
     to_edge_list,
-    verify_lemmas,
 )
-from twomatch import cli, reports
-from twomatch.cli import main
+from twomatch.graph6 import encode_graph6
+from twomatch.pairs import PairResult, solve_pair
 
 from conftest import fail_on, per_pair_trap
 
@@ -796,6 +794,21 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("generate", "tight", "0"), "tight family index must be at least 1"),
+        (("census", "--family", "tight", "--k-range", "0:2"), "tight family index must be at least 1"),
+        (("generate", "path", "-1"), "edge count must be non-negative"),
+        (("generate", "complete", "-1"), "vertex count must be non-negative"),
+        (("census", "--exhaustive", "-1"), "vertex count must be non-negative"),
+    ],
+)
+def test_out_of_range_number_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestStartup:
     """Every CLI call pays for what ``twomatch.cli`` imports."""
 
@@ -809,6 +822,10 @@ class TestStartup:
             [sys.executable, "-c", script], capture_output=True, text=True, env=cli_env(), check=True
         ).stdout
         return set(out.split())
+
+    def test_package_import_loads_no_submodule(self):
+        added = self.loaded("import twomatch") - self.loaded("")
+        assert {m for m in added if m.partition(".")[0] == "twomatch"} == {"twomatch"}
 
     def test_import_loads_no_heavy_module(self):
         added = self.loaded("import twomatch.cli") - self.loaded("")

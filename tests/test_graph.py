@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import twomatch
-from twomatch import (
+from twomatch.graph import (
     ENUMERATION_MAX_VERTICES,
     MAX_VERTICES,
     EdgeListError,
     Graph,
-    Graph6Error,
     edge,
     enumerate_graphs,
     gen_complete,
@@ -20,10 +18,9 @@ from twomatch import (
     gen_random,
     gen_tight_family,
     parse_edge_list,
-    parse_graph6,
     to_edge_list,
 )
-from twomatch import alternating, graph, graph6, matching, pairs, reports
+from twomatch.graph6 import Graph6Error, parse_graph6
 
 
 class TestGraphType:
@@ -128,6 +125,19 @@ class TestParseEdgeList:
     def test_wrong_token_count(self):
         with pytest.raises(EdgeListError):
             parse_edge_list("0 1 2")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n", "expected 'n <count>'"),
+            ("n x", "bad vertex count 'x'"),
+            ("n -3", "vertex count must be non-negative"),
+        ],
+    )
+    def test_bad_header(self, text, message):
+        with pytest.raises(EdgeListError) as exc:
+            parse_edge_list(text)
+        assert (exc.value.line, str(exc.value)) == (1, f"line 1: {message}")
 
     def test_negative_vertex(self):
         with pytest.raises(EdgeListError):
@@ -262,11 +272,3 @@ def test_gen_random_within_model(seed, n, p):
     for u, v in g.edges:
         assert 0 <= u < v < n
 
-
-class TestPublicSurface:
-    def test_package_lists_each_module_name_once(self):
-        modules = (alternating, graph, graph6, matching, pairs, reports)
-        names = [name for module in modules for name in module.__all__]
-        assert len(names) == len(set(names))
-        assert sorted(twomatch.__all__) == sorted(names + ["__version__"])
-        assert all(hasattr(twomatch, name) for name in twomatch.__all__)

@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twomatch import (
-    MAX_VERTICES,
-    Graph,
-    Graph6Error,
-    encode_graph6,
-    enumerate_graphs,
-    gen_random,
-    iter_graph6,
-    parse_graph6,
-)
+from twomatch.graph import MAX_VERTICES, Graph, enumerate_graphs, gen_random
+from twomatch.graph6 import Graph6Error, encode_graph6, iter_graph6, parse_graph6
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -55,6 +47,10 @@ class TestErrors:
     def test_truncated_payload(self):
         with pytest.raises(Graph6Error, match="truncated"):
             parse_graph6("D?")
+
+    def test_truncated_long_header(self):
+        with pytest.raises(Graph6Error, match="truncated long vertex-count header"):
+            parse_graph6("~??")
 
     def test_trailing_bytes(self):
         with pytest.raises(Graph6Error, match="trailing"):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twomatch import (
-    BRUTEFORCE_MAX_EDGES,
+from twomatch import matching
+from twomatch.graph import (
     Graph,
     enumerate_graphs,
     gen_complete,
@@ -17,13 +17,16 @@ from twomatch import (
     gen_path,
     gen_random,
     gen_tight_family,
+)
+from twomatch.matching import (
+    BRUTEFORCE_MAX_EDGES,
+    _edge_set,
+    _matchings,
     matching_violation,
     max_matching,
     max_matching_bruteforce,
     maximum_matchings,
 )
-from twomatch import matching
-from twomatch.matching import _edge_set, _matchings
 
 from conftest import (
     AugmentingPath,

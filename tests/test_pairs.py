@@ -6,35 +6,35 @@ import sys
 import pytest
 from hypothesis import given, settings
 
-from twomatch import (
-    PAIR_ORACLE_MAX_EDGES,
-    CanonicalTriple,
+from twomatch import cli, matching, pairs
+from twomatch.alternating import verify_lemmas
+from twomatch.graph import (
     Graph,
-    PairResult,
-    analyze_graph,
-    canonical_triple,
-    canonical_triples,
     enumerate_graphs,
-    enumerate_m2,
     gen_complete,
     gen_cycle,
     gen_gap_family,
     gen_path,
     gen_random,
     gen_tight_family,
-    matching_violation,
-    max_matching,
-    maximum_matchings,
-    run_census,
+    to_edge_list,
+)
+from twomatch.matching import matching_violation, max_matching, maximum_matchings
+from twomatch.pairs import (
+    PAIR_ORACLE_MAX_EDGES,
+    CanonicalTriple,
+    PairResult,
+    _frontier_dp,
+    _frontier_order,
+    _max_2_matching,
+    _pair_from_2_matching,
+    canonical_triple,
+    canonical_triples,
+    enumerate_m2,
     solve_pair,
     solve_pair_bruteforce,
-    to_edge_list,
-    verify_graph,
-    verify_lemmas,
 )
-
-from twomatch import cli, matching, pairs
-from twomatch.pairs import _frontier_dp, _frontier_order, _max_2_matching, _pair_from_2_matching
+from twomatch.reports import analyze_graph, run_census, verify_graph
 
 from conftest import all_matchings_by_filtering, graphs, per_pair_trap
 

@@ -8,19 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from twomatch import (
-    GraphReport,
-    analyze_graph,
-    gen_complete,
-    gen_gap_family,
-    gen_path,
-    gen_random,
-    gen_tight_family,
-    run_census,
-    solve_pair,
-    verify_graph,
-)
 from twomatch import matching, reports
+from twomatch.graph import gen_complete, gen_gap_family, gen_path, gen_random, gen_tight_family
+from twomatch.pairs import solve_pair
+from twomatch.reports import GraphReport, analyze_graph, run_census, verify_graph
 
 from conftest import fail_on
 
