@@ -1,5 +1,8 @@
 """Command-line front end: solve, census, verify-lemmas, generate.
 
+It parses arguments, reads graphs, prints, and picks the exit code;
+every document and CSV row is built in ``reports``.
+
 Exit codes: 0 all checks pass, 1 check failure (``solve`` and ``census``
 both by ``GraphReport.failures``; ``verify-lemmas`` on a failed check or
 a ``SolverMismatch``), 2 usage or parse error, 3 node budget exceeded,
@@ -33,25 +36,13 @@ from .graph import (
 )
 from .graph6 import Graph6Error, encode_graph6, iter_graph6, parse_graph6
 from .pairs import DEFAULT_NODE_BUDGET
-from .reports import (
-    SCHEMA_VERSION,
-    SolverMismatch,
-    _edge_lists,
-    analyze_graph,
-    run_census,
-    verify_graph,
-)
+from .reports import CSV_COLUMNS, SolverMismatch, analyze_graph, run_census, verify_graph
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports it
-
-_CSV_COLUMNS = (
-    "source", "n", "m", "nu", "lambda2", "alpha2", "ratio", "ratio_ok", "status",
-    "lemmas_passed", "lemmas_failed", "lemmas_skipped",
-)
 
 
 def _read_text(path: str) -> str:
@@ -75,28 +66,9 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _csv_row(r) -> tuple:
-    """One report as a CSV row, in ``_CSV_COLUMNS`` order."""
-    checked = r.lemmas_skipped is None
-    return (
-        r.source,
-        r.n,
-        r.m,
-        r.nu,
-        r.lambda2,
-        r.alpha2,
-        r.ratio or "",
-        "" if r.ratio_ok is None else int(r.ratio_ok),
-        r.status,
-        r.lemmas_passed if checked else "",
-        len(r.lemma_failures) if checked else "",
-        r.lemmas_skipped or "",
-    )
-
-
 def _write_csv(rows: Iterable[tuple]) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
+    writer.writerow(CSV_COLUMNS)
     writer.writerows(rows)
 
 
@@ -117,7 +89,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         with_witness=True,
     )
     if args.output == "csv":
-        _write_csv([_csv_row(report)])
+        _write_csv([report.to_row()])
     else:
         _print_json(report.to_dict())
     return _exit_code(report.failures(), report.status == "budget_exceeded")
@@ -230,7 +202,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         with_timings=not args.no_timings,
     )
     if args.output == "csv":
-        _write_csv(_csv_row(r) for r in reports)
+        _write_csv(r.to_row() for r in reports)
         print(
             f"census: {summary.count} graphs, max ratio {summary.max_ratio}, "
             f"{len(summary.failures)} failures",
@@ -244,46 +216,12 @@ def cmd_census(args: argparse.Namespace) -> int:
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:
     g = _load_single(args.input, args.format)
     try:
-        results = verify_graph(g)
+        doc = verify_graph(g, source=args.input)
     except SolverMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    nu = len(results[0][0].m)
-    alpha2 = len(results[0][0].h)
-    lambda2 = alpha2 + len(results[0][0].h_prime)
-    triples = []
-    all_ok = True
-    for triple, rep in results:
-        all_ok &= rep.ok
-        art = rep.artifacts
-        triples.append(
-            {
-                "h": _edge_lists(triple.h),
-                "h_prime": _edge_lists(triple.h_prime),
-                "m": _edge_lists(triple.m),
-                "ok": rep.ok,
-                "launched_paths": {
-                    "count": len(art.y_paths),
-                    "lengths": [c.length for c in art.y_paths],
-                },
-                "checks": {name: v._asdict() for name, v in rep.checks.items()},
-            }
-        )
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "lemma_report",
-        "source": args.input,
-        "n": g.n,
-        "m": g.m,
-        "nu": nu,
-        "lambda2": lambda2,
-        "alpha2": alpha2,
-        "triple_count": len(triples),
-        "ok": all_ok,
-        "triples": triples,
-    }
     _print_json(doc)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return EXIT_OK if doc["ok"] else EXIT_CHECK_FAILED
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

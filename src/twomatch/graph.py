@@ -22,8 +22,8 @@ Edge = tuple[int, int]
 #: at n=7 is the supported ceiling).
 ENUMERATION_MAX_VERTICES = 7
 
-#: Largest vertex count either input format takes: the most the
-#: three-byte graph6 header can carry.
+#: Largest vertex count either input format takes, and the generators
+#: make: the most the three-byte graph6 header can carry.
 MAX_VERTICES = 258047
 
 
@@ -202,10 +202,19 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_vertex_count(n: int) -> None:
+    """Raise ``ValueError`` unless 0 <= n <= ``MAX_VERTICES``."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} above the ceiling of {MAX_VERTICES}")
+
+
 def gen_path(k: int) -> Graph:
     """Path with ``k`` edges on ``k+1`` vertices (single vertex for k=0)."""
     if k < 0:
         raise ValueError("edge count must be non-negative")
+    _check_vertex_count(k + 1)
     return Graph(k + 1, frozenset((i, i + 1) for i in range(k)))
 
 
@@ -213,21 +222,21 @@ def gen_cycle(k: int) -> Graph:
     """Cycle on ``k`` vertices, ``k >= 3``."""
     if k < 3:
         raise ValueError("cycle needs at least 3 edges")
+    _check_vertex_count(k)
     return Graph.from_edges(k, ((i, (i + 1) % k) for i in range(k)))
 
 
 def gen_complete(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
+    _check_vertex_count(n)
     return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def _check_gnp(n: int, p: float) -> None:
-    """Raise ``ValueError`` unless G(n, p) is defined: p in [0, 1], n >= 0."""
+    """Raise ``ValueError`` unless G(n, p) is defined, p in [0, 1], and
+    0 <= n <= ``MAX_VERTICES``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
+    _check_vertex_count(n)
 
 
 def gen_random(n: int, p: float, seed: int) -> Graph:
@@ -258,6 +267,7 @@ def gen_tight_family(f: Graph) -> Graph:
     """
     from .matching import max_matching  # local import avoids a module cycle
 
+    _check_vertex_count(5 * f.n)
     if f.n % 2 == 1 or 2 * len(max_matching(f)) != f.n:
         raise ValueError("base graph has no perfect matching")
     new_edges = set(f.edges)
@@ -280,6 +290,7 @@ def gen_gap_family(k: int) -> Graph:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
+    _check_vertex_count(2 * k + 1)
     edges = {(0, 1), (0, 2)}
     for i in range(k - 1):
         mid = 3 + 2 * i

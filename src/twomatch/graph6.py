@@ -51,13 +51,11 @@ def parse_graph6(text: str) -> Graph:
     else:
         if len(values) < 4:
             raise Graph6Error("truncated long vertex-count header")
-        if values[1] == 63:
+        if values[1] == 63:  # so n <= 62 * 4096 + 63 * 64 + 63 = MAX_VERTICES
             raise Graph6Error("vertex count beyond the supported range")
         n = (values[1] << 12) | (values[2] << 6) | values[3]
         if n <= 62:
             raise Graph6Error("non-canonical long header for a small vertex count")
-        if n > MAX_VERTICES:
-            raise Graph6Error(f"vertex count {n} beyond the supported range")
         pos = 4
 
     nbits = n * (n - 1) // 2

@@ -1,16 +1,19 @@
 """Graph analysis reports and census sweeps.
 
-One graph in, one flat report out, each result stored once: maximum
-matching size, exact pair optima, the lemma suite when the instance is
-within the triple-search ceiling, and the ratio check derived from the
-report's own nu and alpha2 (an integer cross-product, never floating
-point, and only on certified optima).  ``GraphReport.failures`` is the one
-failure rule: a broken ratio bound, optima out of order, or a lemma
-failure.  A census maps the analysis over a corpus, aggregates exact
-maxima and histograms over the certified rows, and collects those
-failures; graphs are independent, so sweeps fan out over forked children
-with input order preserved in the output.  A census addresses its corpus
-by index: graph i is made, or looked up, in the process that analyzes it.
+Every output is built here: the three JSON documents (``graph_report``,
+``census_summary`` and ``lemma_report``) and the CSV row; this is the one
+module that writes ``schema_version``.  One graph in, one flat report
+out, each result stored once: maximum matching size, exact pair optima,
+the lemma suite when the instance is within the triple-search ceiling,
+and the ratio check derived from the report's own nu and alpha2 (an
+integer cross-product, never floating point, and only on certified
+optima).  ``GraphReport.failures`` is the one failure rule: a broken
+ratio bound, optima out of order, or a lemma failure.  A census maps the
+analysis over a corpus, aggregates exact maxima and histograms over the
+certified rows, and collects those failures; graphs are independent, so
+sweeps fan out over forked children with input order preserved in the
+output.  A census addresses its corpus by index: graph i is made, or
+looked up, in the process that analyzes it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from math import gcd
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple
 
-from .alternating import LemmaReport, verify_lemmas
+from .alternating import verify_lemmas
 from .graph import Graph
 from .pairs import (
     DEFAULT_NODE_BUDGET,
@@ -35,6 +38,12 @@ from .pairs import (
 
 
 SCHEMA_VERSION = 4
+
+#: The CSV header, in ``GraphReport.to_row`` order.
+CSV_COLUMNS = (
+    "source", "n", "m", "nu", "lambda2", "alpha2", "ratio", "ratio_ok", "status",
+    "lemmas_passed", "lemmas_failed", "lemmas_skipped",
+)
 
 
 class GraphReport(NamedTuple):
@@ -118,6 +127,24 @@ class GraphReport(NamedTuple):
         if self.timings is not None:
             doc["timings"] = self.timings
         return doc
+
+    def to_row(self) -> tuple:
+        """This report as a CSV row, in ``CSV_COLUMNS`` order."""
+        checked = self.lemmas_skipped is None
+        return (
+            self.source,
+            self.n,
+            self.m,
+            self.nu,
+            self.lambda2,
+            self.alpha2,
+            self.ratio or "",
+            "" if self.ratio_ok is None else int(self.ratio_ok),
+            self.status,
+            self.lemmas_passed if checked else "",
+            len(self.lemma_failures) if checked else "",
+            self.lemmas_skipped or "",
+        )
 
 
 def _ratio_str(nu: int, alpha2: int) -> str | None:
@@ -206,15 +233,42 @@ class SolverMismatch(Exception):
     as ``solver_vs_enumeration_mismatch`` is in a report, not a bad input."""
 
 
-def verify_graph(g: Graph) -> list[tuple[CanonicalTriple, LemmaReport]]:
-    """Run the lemma suite over every maximizing triple of ``g`` with the
-    solver's nu.  Raises ``ValueError`` over the triple-search ceiling, before
-    any solve, and ``SolverMismatch`` when the triples' sizes are not the solver's optima."""
+def verify_graph(g: Graph, source: str = "") -> dict:
+    """The ``lemma_report`` document: the lemma suite over every maximizing
+    triple of ``g``, with the solver's nu, lambda2 and alpha2.  Raises
+    ``ValueError`` over the triple-search ceiling, before any solve, and
+    ``SolverMismatch`` when the triples' sizes are not the solver's optima."""
     triples = canonical_triples(g)
     pair = solve_pair(g, DEFAULT_NODE_BUDGET)
     if mismatch := _solver_mismatch(pair, triples[0]):
         raise SolverMismatch(mismatch)
-    return [(t, verify_lemmas(g, t, pair.nu)) for t in triples]
+    docs = []
+    for t in triples:
+        report = verify_lemmas(g, t, pair.nu)
+        launched = report.artifacts.y_paths
+        docs.append(
+            {
+                "h": _edge_lists(t.h),
+                "h_prime": _edge_lists(t.h_prime),
+                "m": _edge_lists(t.m),
+                "ok": report.ok,
+                "launched_paths": {"count": len(launched), "lengths": [c.length for c in launched]},
+                "checks": {name: v._asdict() for name, v in report.checks.items()},
+            }
+        )
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "lemma_report",
+        "source": source,
+        "n": g.n,
+        "m": g.m,
+        "nu": pair.nu,
+        "lambda2": pair.lambda2,
+        "alpha2": pair.alpha2,
+        "triple_count": len(docs),
+        "ok": all(d["ok"] for d in docs),
+        "triples": docs,
+    }
 
 
 class CensusSummary(NamedTuple):
@@ -234,19 +288,10 @@ class CensusSummary(NamedTuple):
     elapsed: float | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "census_summary",
-            "corpus": self.corpus,
-            "count": self.count,
-            "max_ratio": self.max_ratio,
-            "max_ratio_source": self.max_ratio_source,
-            "gap_histogram": {str(k): v for k, v in sorted(self.gap_histogram.items())},
-            "failures": list(self.failures),
-            "budget_exceeded": self.budget_exceeded,
-            "lemma_checked": self.lemma_checked,
-        }
-        if self.elapsed is not None:
+        doc = {"schema_version": SCHEMA_VERSION, "kind": "census_summary", **self._asdict()}
+        doc["gap_histogram"] = {str(k): v for k, v in sorted(self.gap_histogram.items())}
+        doc["failures"] = list(self.failures)
+        if doc.pop("elapsed") is not None:
             doc["elapsed_seconds"] = self.elapsed
         return doc
 

@@ -802,6 +802,12 @@ def test_usage_error_exit_2():
         (("generate", "path", "-1"), "edge count must be non-negative"),
         (("generate", "complete", "-1"), "vertex count must be non-negative"),
         (("census", "--exhaustive", "-1"), "vertex count must be non-negative"),
+        (("generate", "path", "258047"), "vertex count 258048 above the ceiling of 258047"),
+        (("generate", "complete", "258048"), "vertex count 258048 above the ceiling of 258047"),
+        (("generate", "tight", "25805"), "vertex count 258050 above the ceiling of 258047"),
+        (("generate", "cycle", "258048"), "vertex count 258048 above the ceiling of 258047"),
+        (("generate", "gap", "129024"), "vertex count 258049 above the ceiling of 258047"),
+        (("census", "--random", "258048", "0.5", "1"), "vertex count 258048 above the ceiling of 258047"),
     ],
 )
 def test_out_of_range_number_is_a_usage_error(capsys, argv, message):

@@ -52,6 +52,12 @@ class TestErrors:
         with pytest.raises(Graph6Error, match="truncated long vertex-count header"):
             parse_graph6("~??")
 
+    def test_largest_long_header_passes_the_header(self):
+        # ~}~~ carries 62 * 4096 + 63 * 64 + 63: the header takes nothing larger.
+        nbytes = (MAX_VERTICES * (MAX_VERTICES - 1) // 2 + 5) // 6
+        with pytest.raises(Graph6Error, match=f"^truncated payload: expected {nbytes} bytes, got 0$"):
+            parse_graph6("~}~~")
+
     def test_trailing_bytes(self):
         with pytest.raises(Graph6Error, match="trailing"):
             parse_graph6("A_?")

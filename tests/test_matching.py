@@ -55,6 +55,7 @@ class TestIsMatching:
 
     def test_foreign_edge(self):
         assert "not an edge" in matching_violation(gen_path(3), {(0, 2)})
+        assert matching_violation(gen_path(3), {(0, 1, 2)}) == "(0, 1, 2) is not an edge pair"
 
 
 class TestFindAugmentingPath:

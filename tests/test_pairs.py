@@ -147,6 +147,8 @@ class TestBruteforce:
     def test_ceiling(self):
         with pytest.raises(ValueError):
             solve_pair_bruteforce(gen_complete(6))  # 15 edges
+        with pytest.raises(ValueError, match="enumeration ceiling is 14 edges"):
+            list(enumerate_m2(gen_complete(6)))
 
     def test_lists_its_own_matchings(self, monkeypatch):
         # The triple search lists through ``_matchings``; a fault there must
@@ -640,11 +642,13 @@ class TestMaximumOverAllPairs:
     above the best key of some pairs, so a best M per pair is not enough."""
 
     def test_canonical_triples_pass_every_check(self):
-        results = verify_graph(per_pair_trap())
-        assert len(results) == 4
-        for t, report in results:
-            assert (len(t.m & t.h), len(t.m & t.h_prime)) == (3, 2)
-            assert (len(report.checks), report.failures()) == (15, [])
+        doc = verify_graph(per_pair_trap())
+        assert len(doc["triples"]) == 4
+        for t in doc["triples"]:
+            m, h, h_prime = ({tuple(e) for e in t[side]} for side in ("m", "h", "h_prime"))
+            assert (len(m & h), len(m & h_prime)) == (3, 2)
+            failures = [name for name, v in t["checks"].items() if not v["ok"]]
+            assert (len(t["checks"]), failures) == (15, [])
 
     def test_a_best_m_per_pair_fails_six_checks(self):
         g = per_pair_trap()
@@ -681,7 +685,7 @@ def test_oracle_is_off_the_production_path(monkeypatch, tmp_path, capsys):
     for g in tight_and_pendant():
         r = analyze_graph(g, with_timings=False)
         assert (r.lemmas_skipped, r.lemmas_passed, r.lemma_failures) == (None, 15, ())
-        assert all(report.ok for _, report in verify_graph(g))
+        assert all(t["ok"] for t in verify_graph(g)["triples"])
     tight, pendant = tight_and_pendant()
     graphs = [("tight", tight), ("gap", gen_gap_family(3)), ("random", gen_random(8, 0.4, 5))]
     summary, rows = run_census(len(graphs), graphs.__getitem__, jobs=1, with_timings=False)

@@ -111,8 +111,8 @@ class TestOneNuPerGraph:
         solve_pair(g)
         alone = len(runs)
         runs.clear()
-        results = verify_graph(g)
-        assert len(results) == 4
+        doc = verify_graph(g)
+        assert len(doc["triples"]) == 4
         assert len(runs) == alone
 
     def test_lemma_path_adds_no_blossom_run(self, monkeypatch):
