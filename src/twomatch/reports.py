@@ -39,6 +39,10 @@ from .pairs import (
 
 SCHEMA_VERSION = 4
 
+#: The most graphs one census holds: the ``--exhaustive 7`` corpus.  Its
+#: rows are all kept until the census returns.
+MAX_CENSUS_GRAPHS = 2**21
+
 #: The CSV header, in ``GraphReport.to_row`` order.
 CSV_COLUMNS = (
     "source", "n", "m", "nu", "lambda2", "alpha2", "ratio", "ratio_ok", "status",
@@ -313,13 +317,27 @@ def run_census(
     At ``jobs = J`` the parent forks J - 1 children, fewer if there are
     fewer graphs: child k analyzes graphs k, k + J, ... and sends back all
     its rows as one marshal blob, while the parent analyzes graphs 0, J, ...
-    Without ``os.fork``, one process does every job.
+    Each of the J processes first moves itself onto allowed CPU k (modulo
+    their number) and then restores its mask: a freshly forked child can
+    otherwise stay on its parent's CPU for longer than a short census
+    lasts.  Without ``os.fork``, one process does every job.  Raises
+    ``ValueError`` above ``MAX_CENSUS_GRAPHS`` graphs, before any is made.
     """
+    if count > MAX_CENSUS_GRAPHS:
+        raise ValueError(f"census of {count} graphs above the ceiling of {MAX_CENSUS_GRAPHS}")
     start = perf_counter()
     jobs = max(1, min(jobs, count)) if hasattr(os, "fork") else 1
     reports: list[GraphReport] = [None] * count  # type: ignore[list-item]
 
     def share(k: int) -> list[GraphReport]:  # graphs k, k + jobs, k + 2*jobs, ...
+        if jobs > 1 and hasattr(os, "sched_setaffinity"):
+            try:
+                allowed = os.sched_getaffinity(0)
+                if len(allowed) > 1:
+                    os.sched_setaffinity(0, {sorted(allowed)[k % len(allowed)]})  # moves it now
+                    os.sched_setaffinity(0, allowed)  # the scheduler stays free to move it later
+            except OSError:
+                pass  # the rows do not depend on placement
         return [
             analyze_graph(g, source, node_budget=node_budget, lemmas=lemmas, with_timings=False)
             for source, g in map(item, range(k, count, jobs))

@@ -527,6 +527,14 @@ class TestCensus:
         code, out, err = run_cli(capsys, "census", "--family", "gap", "--k-range", k_range)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "corpus",
+        [["--random", "7", "0.5", str(2**21 + 1)], ["--family", "gap", "--k-range", f"2:{2**21 + 2}"]],
+    )
+    def test_a_corpus_over_the_census_ceiling_exits_2(self, capsys, corpus):
+        code, out, err = run_cli(capsys, "census", *corpus, "--skip-lemmas", "--output", "csv")
+        assert (code, out, err) == (2, "", f"error: census of {2**21 + 1} graphs above the ceiling of {2**21}\n")
+
     def test_elapsed_seconds(self, capsys):
         code, out, _ = run_cli(capsys, "census", "--exhaustive", "3")
         assert code == 0

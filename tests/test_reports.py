@@ -170,6 +170,57 @@ class TestForkedCensus:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def placements(self, monkeypatch, tmp_path, allowed: set[int], jobs: int):
+        """Run a census with ``allowed`` as the CPU set and a stand-in
+        ``sched_setaffinity`` that only appends each call to a file, as
+        the children inherit it; returns each pid's masks as sorted tuples."""
+        log = tmp_path / "affinity.log"
+
+        def record(pid, mask):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {','.join(map(str, sorted(mask)))}\n")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(allowed), raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", record, raising=False)
+        item = lambda i: (f"p{i}", gen_path(i))  # noqa: E731
+        assert run_census(7, item, jobs=jobs, with_timings=False) == run_census(7, item, with_timings=False)
+        calls: dict[int, list[tuple[int, ...]]] = {}
+        for line in log.read_text().splitlines() if log.exists() else ():
+            pid, mask = line.split()
+            calls.setdefault(int(pid), []).append(tuple(map(int, mask.split(","))))
+        return calls
+
+    def test_each_process_moves_to_its_own_cpu_and_restores_its_mask(self, monkeypatch, tmp_path):
+        calls = self.placements(monkeypatch, tmp_path, {0, 1, 2, 3}, jobs=3)
+        assert calls[os.getpid()] == [(0,), (0, 1, 2, 3)]  # the parent takes share 0
+        assert sorted(calls.values()) == [[(k,), (0, 1, 2, 3)] for k in range(3)]
+
+    def test_cpus_wrap_around_the_allowed_set(self, monkeypatch, tmp_path):
+        calls = self.placements(monkeypatch, tmp_path, {0, 1}, jobs=5)
+        assert calls[os.getpid()] == [(0,), (0, 1)]
+        assert sorted(calls.values()) == [[(k % 2,), (0, 1)] for k in (0, 2, 4, 1, 3)]
+
+    @pytest.mark.parametrize("allowed, jobs", [({0, 1, 2, 3}, 1), ({5}, 3)])
+    def test_no_move_at_one_job_or_one_cpu(self, monkeypatch, tmp_path, allowed, jobs):
+        assert self.placements(monkeypatch, tmp_path, allowed, jobs=jobs) == {}
+
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_a_refused_or_missing_move_gives_the_serial_rows(self, monkeypatch, missing):
+        def refuse(pid, mask):
+            raise OSError(22, "Invalid argument")
+
+        if missing:  # as on macOS
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        item = lambda i: (f"p{i}", gen_path(i))  # noqa: E731
+        assert run_census(7, item, jobs=3, with_timings=False) == run_census(7, item, with_timings=False)
+
+    def test_the_callers_mask_is_unchanged(self):
+        before = os.sched_getaffinity(0)
+        run_census(6, lambda i: (f"p{i}", gen_path(i)), jobs=2, with_timings=False)
+        assert os.sched_getaffinity(0) == before
+
     def test_a_child_that_dies_is_an_error(self, monkeypatch):
         # As a child killed from outside would: it ends without its rows.
         real, parent = reports.analyze_graph, os.getpid()
@@ -183,3 +234,13 @@ class TestForkedCensus:
         pairs = [(f"p{k}", gen_path(k)) for k in range(4)]
         with pytest.raises(ChildProcessError, match="ended before sending all its rows"):
             run_census(len(pairs), pairs.__getitem__, jobs=2)
+
+
+class TestCensusCeiling:
+    def test_a_count_above_the_ceiling_is_refused_before_any_graph(self):
+        made = []
+        item = lambda i: made.append(i) or (f"p{i}", gen_path(1))  # noqa: E731
+        with pytest.raises(ValueError, match=f"^census of {2**21 + 1} graphs above the ceiling of {2**21}$"):
+            run_census(reports.MAX_CENSUS_GRAPHS + 1, item, jobs=2)
+        assert made == []
+        assert reports.MAX_CENSUS_GRAPHS == 2**21  # the --exhaustive 7 corpus
