@@ -126,6 +126,11 @@ class TestOneNuPerGraph:
             runs.clear()
 
 
+def path_item(i: int):
+    """Graph i of a census corpus: the path with i edges."""
+    return f"p{i}", gen_path(i)
+
+
 class TestForkedCensus:
     """``run_census`` at ``jobs > 1``: forked children, rows back by pipe."""
 
@@ -182,8 +187,8 @@ class TestForkedCensus:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(allowed), raising=False)
         monkeypatch.setattr(os, "sched_setaffinity", record, raising=False)
-        item = lambda i: (f"p{i}", gen_path(i))  # noqa: E731
-        assert run_census(7, item, jobs=jobs, with_timings=False) == run_census(7, item, with_timings=False)
+        serial = run_census(7, path_item, with_timings=False)
+        assert run_census(7, path_item, jobs=jobs, with_timings=False) == serial
         calls: dict[int, list[tuple[int, ...]]] = {}
         for line in log.read_text().splitlines() if log.exists() else ():
             pid, mask = line.split()
@@ -213,12 +218,12 @@ class TestForkedCensus:
             monkeypatch.delattr(os, "sched_setaffinity", raising=False)
         else:
             monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
-        item = lambda i: (f"p{i}", gen_path(i))  # noqa: E731
-        assert run_census(7, item, jobs=3, with_timings=False) == run_census(7, item, with_timings=False)
+        serial = run_census(7, path_item, with_timings=False)
+        assert run_census(7, path_item, jobs=3, with_timings=False) == serial
 
     def test_the_callers_mask_is_unchanged(self):
         before = os.sched_getaffinity(0)
-        run_census(6, lambda i: (f"p{i}", gen_path(i)), jobs=2, with_timings=False)
+        run_census(6, path_item, jobs=2, with_timings=False)
         assert os.sched_getaffinity(0) == before
 
     def test_a_child_that_dies_is_an_error(self, monkeypatch):
