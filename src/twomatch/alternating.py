@@ -176,8 +176,8 @@ def _odd_paths_only(d: Decomposition, wrong: tuple[AlternatingComponent, ...], w
     return _verdict(bad)
 
 
-class TripleArtifacts(NamedTuple):
-    """Derived objects of a canonical triple.
+class LemmaReport(NamedTuple):
+    """Per-check verdicts for one triple, and the objects derived from it.
 
     ``m_a`` / ``h_a``: edges of the maximum matching / larger side lying
     on the odd maximum-side paths of their decomposition.  ``y_paths``:
@@ -188,47 +188,55 @@ class TripleArtifacts(NamedTuple):
     surfaces as a lemma failure; every other end-edge launches a path.
     """
 
+    checks: dict[str, Verdict]
     m_a: frozenset[Edge]
     h_a: frozenset[Edge]
     y_paths: tuple[AlternatingComponent, ...]
-    defects: tuple[str, ...] = ()
+    defects: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(v.ok for v in self.checks.values())
+
+    def failures(self) -> list[str]:
+        return [name for name, v in self.checks.items() if not v.ok]
 
 
-def _decomposed(
-    g: Graph, t: CanonicalTriple
-) -> tuple[frozenset[Edge], frozenset[Edge], frozenset[Edge], Decomposition, Decomposition]:
-    """(m, h, h_prime) of ``t`` as frozensets, with the decompositions of
-    (m, h) and (h, h_prime).  m, h and h_prime are checked to be matchings
-    of ``g``, once each and in that order; the two sides are then checked
-    to be edge-disjoint."""
+def derive_artifacts(g: Graph, t: CanonicalTriple) -> LemmaReport:
+    """``verify_lemmas`` of ``t`` with nu taken as |m|: the derived objects
+    and verdicts of a triple whose m is trusted to be maximum.  Kept under
+    this name because ``perfbench/spans.py`` traces it."""
+    return verify_lemmas(g, t, len(t.m))
+
+
+def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
+    """Evaluate every structural fact on a canonical triple exactly.
+
+    Trusts that ``t`` came from the canonical-triple search and ``nu``,
+    the matching number of ``g``, from the caller; on other inputs the
+    verdicts describe that input only.  Raises ``ValueError`` for
+    malformed triples (sides not matchings, not disjoint, or |m| != nu):
+    m, h and h_prime are checked to be matchings of ``g``, once each and
+    in that order, then the two sides to be edge-disjoint, then |m|.
+    """
     m, h, hp = frozenset(t.m), frozenset(t.h), frozenset(t.h_prime)
     d_mh = decompose(g, m, h)
     _check_matching(g, hp, "second")
     d_hhp = _decompose(h, hp)
     if d_hhp.shared:
         raise ValueError("triple sides are not edge-disjoint")
-    return m, h, hp, d_mh, d_hhp
+    if len(m) != nu:
+        raise ValueError("triple component m is not a maximum matching")
 
-
-def derive_artifacts(g: Graph, t: CanonicalTriple) -> TripleArtifacts:
-    """Build the odd-path edge sets and launched-path family for ``t``."""
-    _, _, hp, d_mh, d_hhp = _decomposed(g, t)
-    return _artifacts(hp, d_mh, d_hhp)
-
-
-def _artifacts(hp: frozenset[Edge], d_mh: Decomposition, d_hhp: Decomposition) -> TripleArtifacts:
-    """``derive_artifacts`` of a checked triple, given the decompositions
-    of its (m, h) and its (h, h_prime).
-
-    The launch vertex, the outer end of an odd (m, h) path, meets no edge
-    of h, so its end-edge, when in h_prime, makes it the end of a path of
-    the (h, h_prime) difference.
-    """
+    alpha = len(h)
+    gap = nu - alpha
     odd_m = d_mh.odd_paths_a
     m_a = frozenset(e for c in odd_m for e, s in zip(c.edges, c.sides) if s == "A")
     h_a = frozenset(e for c in odd_m for e, s in zip(c.edges, c.sides) if s == "B")
 
-    # Each path of the pair difference, keyed by either end.
+    # The launch vertex, the outer end of an odd (m, h) path, meets no edge
+    # of h, so its end-edge, when in h_prime, makes it the end of a path of
+    # the (h, h_prime) difference; each such path is keyed by either end.
     at_end = {c.vertices[i]: c for c in d_hhp.paths() for i in (0, -1)}
     defects: list[str] = []
     launched: list[AlternatingComponent] = []
@@ -249,39 +257,8 @@ def _artifacts(hp: frozenset[Edge], d_mh: Decomposition, d_hhp: Decomposition) -
                         vertices=comp.vertices[::-1], edges=comp.edges[::-1], sides=comp.sides[::-1]
                     )
                 launched.append(comp)
-    return TripleArtifacts(m_a, h_a, tuple(launched), tuple(defects))
-
-
-class LemmaReport(NamedTuple):
-    """Per-check verdicts for one triple, plus the derived artifacts."""
-
-    checks: dict[str, Verdict]
-    artifacts: TripleArtifacts
-
-    @property
-    def ok(self) -> bool:
-        return all(v.ok for v in self.checks.values())
-
-    def failures(self) -> list[str]:
-        return [name for name, v in self.checks.items() if not v.ok]
-
-
-def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
-    """Evaluate every structural fact on a canonical triple exactly.
-
-    Trusts that ``t`` came from the canonical-triple search and ``nu``,
-    the matching number of ``g``, from the caller; on other inputs the
-    verdicts describe that input only.  Raises ``ValueError`` for
-    malformed triples (sides not matchings, not disjoint, or |m| != nu).
-    """
-    m, h, hp, d_mh, d_hhp = _decomposed(g, t)
-    if len(m) != nu:
-        raise ValueError("triple component m is not a maximum matching")
-
-    alpha = len(h)
-    gap = nu - alpha
-    art = _artifacts(hp, d_mh, d_hhp)
-    d_core = _decompose(art.m_a, hp)  # m_a is part of m, both checked
+    y_paths = tuple(launched)
+    d_core = _decompose(m_a, hp)  # m_a is part of m, both checked
 
     checks: dict[str, Verdict] = {}
 
@@ -290,7 +267,7 @@ def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
     p2_parts = [
         check_property_2(m, h, d_mh),
         check_property_2(h, hp, d_hhp),
-        check_property_2(art.m_a, hp, d_core),
+        check_property_2(m_a, hp, d_core),
     ]
     checks["p2_count_identity"] = _verdict([v.detail for v in p2_parts if not v.ok])
     checks["p3_max_matching_paths"] = _property_3(gap, d_mh)
@@ -300,14 +277,14 @@ def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
     shared = d_mh.shared
     checks["c1_shared_complement"] = _verdict(
         []
-        if shared == m - art.m_a and shared == h - art.h_a
-        else [f"shared {sorted(shared)} vs {sorted(m - art.m_a)} and {sorted(h - art.h_a)}"]
+        if shared == m - m_a and shared == h - h_a
+        else [f"shared {sorted(shared)} vs {sorted(m - m_a)} and {sorted(h - h_a)}"]
     )
 
     # h_prime is a matching, so each vertex meets at most one of its edges.
     hp_covered = {w for f in hp for w in f}
     bad = []
-    for e in sorted(art.m_a - hp):
+    for e in sorted(m_a - hp):
         u, v = e
         touching = (u in hp_covered) + (v in hp_covered)
         if touching != 2:
@@ -317,7 +294,7 @@ def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
     checks["l3_core_odd_paths_only"] = _odd_paths_only(d_core, d_core.odd_paths_a, "the core")
 
     lhs = len(hp)
-    rhs = len(d_core.odd_paths_b) + len(art.h_a) + gap
+    rhs = len(d_core.odd_paths_b) + len(h_a) + gap
     checks["l4_smaller_side_size_identity"] = _verdict([f"{lhs} != {rhs}"] if lhs != rhs else [])
 
     bad = []
@@ -328,7 +305,7 @@ def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
             bad.append(f"odd path {c.edges} has an end-edge outside the smaller side")
     checks["l5_long_paths_end_edges"] = _verdict(bad)
 
-    h_count = len(art.h_a)
+    h_count = len(h_a)
     checks["c2_h_edges_bound"] = _verdict(
         [f"{h_count} < {2 * gap}"] if h_count < 2 * gap else []
     )
@@ -342,19 +319,19 @@ def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
         ]
     )
 
-    bad = list(art.defects)
+    bad = list(defects)
     # Each odd path has two end-edges, and each defect is one that launched nothing.
-    if art.defects:
+    if defects:
         odd = len(d_mh.odd_paths_a)
-        bad.append(f"{2 * odd - len(art.defects)} launches for {odd} odd paths")
-    if len(art.y_paths) != 2 * gap:
-        bad.append(f"{len(art.y_paths)} distinct launched paths, expected {2 * gap}")
-    for c in art.y_paths:
+        bad.append(f"{2 * odd - len(defects)} launches for {odd} odd paths")
+    if len(y_paths) != 2 * gap:
+        bad.append(f"{len(y_paths)} distinct launched paths, expected {2 * gap}")
+    for c in y_paths:
         if c.length % 2 == 1:
             bad.append(f"launched path {c.edges} has odd length")
         if c.length < 4:
             bad.append(f"launched path {c.edges} has length {c.length} < 4")
-    h_y = frozenset(c.edges[-1] for c in art.y_paths)
+    h_y = frozenset(c.edges[-1] for c in y_paths)
     if not h_y <= shared:
         bad.append(f"launched last edges {sorted(h_y - shared)} not shared")
     checks["l6a_launched_paths"] = _verdict(bad)
@@ -362,7 +339,7 @@ def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
     core_odd = len(d_core.odd_paths_b)
     checks["l6b_odd_core_bound"] = _verdict([f"{core_odd} < {gap}"] if core_odd < gap else [])
 
-    y_count = len(art.y_paths)
+    y_count = len(y_paths)
     bad = []
     if alpha < len(hp):
         bad.append(f"larger side {alpha} < smaller side {len(hp)}")
@@ -372,4 +349,4 @@ def verify_lemmas(g: Graph, t: CanonicalTriple, nu: int) -> LemmaReport:
         bad.append(f"twice launched count {2 * y_count} != four gaps {4 * gap}")
     checks["r1_ratio_chain"] = _verdict(bad)
 
-    return LemmaReport(checks, art)
+    return LemmaReport(checks, m_a, h_a, y_paths, tuple(defects))

@@ -6,15 +6,16 @@ attaining that total, the full set of attaining pairs, and the canonical
 triple (pair plus maximum matching) that maximizes the overlap of the
 maximum matching first with the larger side and then with the smaller.
 
-``solve_pair`` takes three routes, cheapest first.  Two incumbents come
-first: a maximum matching M paired with a maximum matching of the graph
-without M's edges, and, when the cheap caps leave a gap, a maximum simple
-2-matching (Tutte's gadget, reduced to ``max_matching``) colored
-alternately along its paths and cycles.  Three caps bound them: nu = |M|
-caps the larger side; 2 * nu and half the sum of min(2, deg v) cap the
-total, and so does the size of that 2-matching, since the union of a
-pair is a 2-matching.  An incumbent that meets both caps is certified
-with nothing searched.
+``solve_pair`` ranks pairs by (total, larger side) and takes three
+routes, cheapest first.  Two incumbents come first: a maximum matching M
+paired with a maximum matching of the graph without M's edges, and, when
+the cheap caps leave a gap, a maximum simple 2-matching (Tutte's gadget,
+reduced to ``max_matching``) colored alternately along its paths and
+cycles.  The caps are a rank too, (total cap, nu): nu = |M| caps the
+larger side; 2 * nu and half the sum of min(2, deg v) cap the total, and
+so does the size of that 2-matching, since the union of a pair is a
+2-matching.  An incumbent whose rank is the caps is certified with
+nothing searched.
 
 Otherwise, when a greedy vertex order keeps at most ``_DP_MAX_WIDTH``
 vertices on its frontier, a dynamic program over that order (the classic
@@ -189,6 +190,11 @@ def _pair_from_2_matching(two: frozenset[Edge]) -> tuple[frozenset[Edge], frozen
     return frozenset(side1), frozenset(side2)
 
 
+def _rank(pair: tuple[frozenset[Edge], frozenset[Edge]]) -> tuple[int, int]:
+    """The (total, larger side) by which ``solve_pair`` ranks pairs."""
+    return len(pair[0]) + len(pair[1]), max(len(pair[0]), len(pair[1]))
+
+
 def _remaining_degree_masks(edges: list[Edge], deg: list[int]) -> tuple[list[int], list[int]]:
     """For each edge i of ``edges``, the endpoint bits whose remaining
     degree (edges i, i+1, ... that touch the endpoint) is exactly 1, and
@@ -317,8 +323,7 @@ def _branch_and_bound(
     g: Graph,
     deg: list[int],
     best_pair: tuple[frozenset[Edge], frozenset[Edge]],
-    nu: int,
-    total_cap: int,
+    caps: tuple[int, int],
     node_budget: int,
 ) -> tuple[tuple[frozenset[Edge], frozenset[Edge]], int]:
     """The best pair from ``best_pair`` on by two passes of branch and
@@ -329,13 +334,15 @@ def _branch_and_bound(
     for a pair with total at least ``need_total`` and larger side at
     least ``need_side``; each leaf it reaches raises one goal just past
     what it found, the total in the first pass and the side in the
-    second.  It returns when that goal passes its cap, when the budget
-    runs out, or when the stack empties.  The free vertex slots bound the
-    total (see the module docstring), and the larger side is checked at
-    the leaves only.  The bound cuts only subtrees that cannot meet the
-    total goal, so the pair returned is the one the search without it
-    returns given budget enough.
+    second.  It returns when that goal passes its cap in ``caps``, (total
+    cap, nu), when the budget runs out, or when the stack empties.  Both
+    passes start from the ``_rank`` of the pair so far.  The free vertex
+    slots bound the total (see the module docstring), and the larger side
+    is checked at the leaves only.  The bound cuts only subtrees that
+    cannot meet the total goal, so the pair returned is the one the
+    search without it returns given budget enough.
     """
+    total_cap, nu = caps
     # Fail-first edge order: descending endpoint degree sum, then lex.
     edges = sorted(g.edges, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
     count = len(edges)
@@ -398,34 +405,35 @@ def _branch_and_bound(
 
     # First pass: raise the total.  Second pass: total fixed at the
     # optimum, raise the larger side.
-    total = len(best_pair[0]) + len(best_pair[1])
+    total, side = _rank(best_pair)
     if total < total_cap:
         best_pair = search(total + 1, 0) or best_pair
-    best_side = max(len(best_pair[0]), len(best_pair[1]))
-    if nodes <= node_budget and best_side < nu:
-        best_pair = search(len(best_pair[0]) + len(best_pair[1]), best_side + 1) or best_pair
+        total, side = _rank(best_pair)
+    if nodes <= node_budget and side < nu:
+        best_pair = search(total, side + 1) or best_pair
     return best_pair, nodes
 
 
 def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
     """Exact best pair total and largest side among best-total pairs.
 
-    Two incumbents come first: a maximum matching M with a maximum
-    matching of the graph without M's edges, and a maximum simple
-    2-matching split into two matchings; the better by (total, larger
-    side) is kept.  Three caps bound the answer: the larger side is at
-    most nu = |M|, and the total at most 2 * nu, at most half the sum of
-    min(2, deg v), and at most the maximum simple 2-matching (computed,
-    with its incumbent, only when the incumbent is below the first two).
-    An incumbent meeting both caps is certified with no node searched
-    (route ``"caps"``).  Otherwise a vertex order is built, and if its
-    width is at most ``_DP_MAX_WIDTH`` the frontier dynamic program
-    settles both quantities in one sweep (route ``"dp"``, ``nodes``
-    counting table entries); past that width, branch and bound does
-    (route ``"search"``, ``nodes`` counting search nodes).  Either route
-    stops once ``nodes`` passes ``node_budget`` and reports the
-    incumbent as ``budget_exceeded``; a budget of 0 allows the caps only,
-    and a negative one raises ``ValueError``.
+    Pairs are ranked by ``_rank``, (total, larger side).  Two incumbents
+    come first: a maximum matching M with a maximum matching of the graph
+    without M's edges, and a maximum simple 2-matching split into two
+    matchings; the higher ranked is kept, the first on a tie.  The caps
+    are one rank, (total cap, nu), that no pair exceeds: the larger side
+    is at most nu = |M|, and the total at most 2 * nu, at most half the
+    sum of min(2, deg v), and at most the maximum simple 2-matching
+    (computed, with its incumbent, only when the incumbent's total is
+    below the first two).  An incumbent ranked at the caps is certified
+    with no node searched (route ``"caps"``).  Otherwise a vertex order
+    is built, and if its width is at most ``_DP_MAX_WIDTH`` the frontier
+    dynamic program settles both quantities in one sweep (route
+    ``"dp"``, ``nodes`` counting table entries); past that width, branch
+    and bound does (route ``"search"``, ``nodes`` counting search nodes).
+    Either route stops once ``nodes`` passes ``node_budget`` and reports
+    the incumbent as ``budget_exceeded``; a budget of 0 allows the caps
+    only, and a negative one raises ``ValueError``.
     """
     if node_budget < 0:
         raise ValueError(f"node budget must be at least 0, got {node_budget}")
@@ -438,36 +446,32 @@ def solve_pair(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PairResult:
     m = max_matching(g)
     rest = max_matching(Graph._unchecked(g.n, g.edges - m))
     nu = len(m)
-    best_total = nu + len(rest)
-    best_pair = (m, rest)
+    best = (m, rest)
 
     # Each side is a matching and every vertex meets at most two pair
     # edges; the 2-matching bound costs a blossom run, so it is only
     # computed when the cheap caps leave a gap.  The 2-matching, colored
     # alternately, is the second incumbent; it meets the cap unless it
     # has an odd cycle.
-    total_cap = min(2 * nu, sum(min(2, d) for d in deg) // 2)
-    if best_total < total_cap:
+    caps = (min(2 * nu, sum(min(2, d) for d in deg) // 2), nu)
+    if _rank(best)[0] < caps[0]:
         two = _max_2_matching(g, deg)
-        total_cap = min(total_cap, len(two))
-        h2, hp2 = _pair_from_2_matching(two)
-        if (len(h2) + len(hp2), len(h2)) > (best_total, nu):
-            best_total = len(h2) + len(hp2)
-            best_pair = (h2, hp2)
+        caps = (min(caps[0], len(two)), nu)
+        best = max(best, _pair_from_2_matching(two), key=_rank)
 
     nodes = 0
     route = "caps"
-    if best_total < total_cap or max(len(best_pair[0]), len(best_pair[1])) < nu:
+    if _rank(best) != caps:  # a rank never exceeds the caps
         program = _frontier_order(g, deg, _DP_MAX_WIDTH)
         if program is not None:
             route = "dp"
             found, nodes = _frontier_dp(program, g.m, node_budget)
-            best_pair = found or best_pair
+            best = found or best
         else:
             route = "search"
-            best_pair, nodes = _branch_and_bound(g, deg, best_pair, nu, total_cap, node_budget)
+            best, nodes = _branch_and_bound(g, deg, best, caps, node_budget)
 
-    h, hp = best_pair
+    h, hp = best
     if len(hp) > len(h):
         h, hp = hp, h
     status = "budget_exceeded" if nodes > node_budget else "optimal"

@@ -249,7 +249,7 @@ def verify_graph(g: Graph, source: str = "") -> dict:
     docs = []
     for t in triples:
         report = verify_lemmas(g, t, pair.nu)
-        launched = report.artifacts.y_paths
+        launched = report.y_paths
         docs.append(
             {
                 "h": _edge_lists(t.h),

@@ -228,6 +228,16 @@ class TestDeriveArtifacts:
         with pytest.raises(ValueError):
             derive_artifacts(g, bad)
 
+    def test_is_verify_lemmas_with_nu_from_m(self):
+        checked = 0
+        for g in [gen_tight_family(gen_complete(2))] + [
+            g for n in range(6) for g in enumerate_graphs(n)
+        ]:
+            for t in canonical_triples(g):
+                assert derive_artifacts(g, t) == verify_lemmas(g, t, len(t.m)), (g, t)
+                checked += 1
+        assert checked == 10_812  # 4 on tight(1), the rest over 1,100 graphs
+
 
 class TestVerifyLemmas:
     def test_check_catalog_is_complete(self):
@@ -258,7 +268,7 @@ class TestVerifyLemmas:
         g = gen_complete(2)
         rep = verify_lemmas(g, canonical_triple(g), len(max_matching(g)))
         assert rep.ok
-        assert rep.artifacts.y_paths == ()
+        assert rep.y_paths == ()
 
     def test_lemma4_degenerate_with_perfect_matching(self):
         # M == H makes the core empty; the smaller side is counted purely

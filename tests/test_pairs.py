@@ -244,6 +244,22 @@ class TestSolvePair:
         r = solve_pair(gen_gap_family(10), node_budget=0)
         assert (r.status, r.route, r.nodes) == ("optimal", "caps", 0)
 
+    def test_rank_tie_keeps_the_first_incumbent(self):
+        # The matching incumbent ({0-4, 1-2}, {1-3}) and the colored
+        # 2-matching ({0-4, 1-2}, {2-3}) both rank (3, 2), below the caps
+        # (4, 2); with no budget to search, the witness is the first.
+        g = Graph(5, [(0, 4), (1, 2), (1, 3), (2, 3)])
+        assert _pair_from_2_matching(_max_2_matching(g, [1, 2, 2, 2, 1])) == (
+            frozenset({(0, 4), (1, 2)}),
+            frozenset({(2, 3)}),
+        )
+        r = solve_pair(g, 0)
+        assert (r.h, r.h_prime, r.status) == (
+            frozenset({(0, 4), (1, 2)}),
+            frozenset({(1, 3)}),
+            "budget_exceeded",
+        )
+
     def test_oracle_equivalence_exhaustive_n5(self):
         for g in graphs_up_to(5):
             rb = solve_pair_bruteforce(g)
@@ -322,7 +338,7 @@ class TestSolvePair:
             nu = len(max_matching(g))
             total_cap = min(2 * nu, sum(min(2, d) for d in deg) // 2)
             empty = (frozenset(), frozenset())
-            (h, hp), _ = pairs._branch_and_bound(g, deg, empty, nu, total_cap, 10**8)
+            (h, hp), _ = pairs._branch_and_bound(g, deg, empty, (total_cap, nu), 10**8)
             rb = solve_pair_bruteforce(g)
             assert (len(h) + len(hp), max(len(h), len(hp))) == (rb.lambda2, rb.alpha2), g
             assert matching_violation(g, h) is None and matching_violation(g, hp) is None and not h & hp
