@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twomatch import matching
+from twomatch import matching, pairs
 from twomatch.graph import (
     Graph,
     enumerate_graphs,
@@ -133,12 +133,22 @@ class TestMaxMatching:
             assert len(max_matching(g)) <= g.n // 2
 
 
-def matching_digest(graphs) -> str:
-    """sha256 over each graph's blossom matching, sorted, one line per graph."""
+def matching_digest(graphs, solve=max_matching) -> str:
+    """sha256 over each graph's blossom matching (or whatever ``solve``
+    returns for it), sorted, one line per graph."""
     h = hashlib.sha256()
     for g in graphs:
-        h.update((" ".join(f"{u}-{v}" for u, v in sorted(max_matching(g))) + "\n").encode())
+        h.update((" ".join(f"{u}-{v}" for u, v in sorted(solve(g))) + "\n").encode())
     return h.hexdigest()
+
+
+def gadget_2_matching(g: Graph):
+    """``pairs._max_2_matching`` of ``g``, with degrees taken from its edges."""
+    deg = [0] * g.n
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return pairs._max_2_matching(g, deg)
 
 
 class TestExactMatchings:
@@ -153,6 +163,15 @@ class TestExactMatchings:
     def test_seeded_random_corpus(self):
         corpus = (gen_random(5 + i % 36, (0.1, 0.2, 0.35, 0.5)[i % 4], 9_000 + i) for i in range(1000))
         assert matching_digest(corpus) == "713e1ee462e0342bf6e9dbf8eacc102f576858bcabc69c170e9d5bc62cb1745e"
+
+    def test_tutte_gadgets_of_the_seeded_corpus(self):
+        # The gadgets reach hundreds of vertices, long trees and many
+        # blossoms, which the corpora above rarely do.
+        corpus = (gen_random(5 + i % 36, (0.1, 0.2, 0.35, 0.5)[i % 4], 9_000 + i) for i in range(300))
+        assert (
+            matching_digest(corpus, gadget_2_matching)
+            == "124c3907fb29190424045b852f08c8c4bcd03536608fba9e751d01144c0c99b8"
+        )
 
 
 def count_searches(monkeypatch) -> list[int]:

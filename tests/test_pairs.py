@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -686,6 +688,42 @@ class TestMaximumOverAllPairs:
                 "r1_ratio_chain",
             ]
         ]
+
+
+class TestRelabeling:
+    """Relabeling the vertices leaves nu, lambda2 and alpha2 unchanged, but
+    often moves a graph to another route, so each relabeling checks one
+    route against another above the oracle's ceiling."""
+
+    def test_answers_survive_relabeling(self):
+        certified = 0
+        moves = Counter()
+        hits = []
+        for n, p in ((12, 0.3), (16, 0.2), (20, 0.15), (24, 0.12), (30, 0.1)):
+            for s in range(12):
+                g = gen_random(n, p, s)
+                r = solve_pair(g, node_budget=10**5)
+                rng = random.Random(f"relabel/{n}/{s}")
+                for _ in range(2):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in sorted(g.edges)])
+                    rh = solve_pair(h, node_budget=10**5)
+                    for graph, res in ((g, r), (h, rh)):
+                        assert matching_violation(graph, res.h) is None
+                        assert matching_violation(graph, res.h_prime) is None
+                    if r.status == rh.status == "optimal":
+                        assert (rh.nu, rh.lambda2, rh.alpha2) == (r.nu, r.lambda2, r.alpha2)
+                        certified += 1
+                        if rh.route != r.route:
+                            moves[r.route, rh.route] += 1
+                    else:
+                        hits.append((n, s, r.route, r.status, rh.route, rh.status))
+        assert certified == 118
+        assert moves == {("caps", "dp"): 5, ("dp", "caps"): 2}
+        # G(30, 0.1) seed 2 has width 7, which the DP certifies, but both
+        # relabelings have width 8 and run out of budget in the search.
+        assert hits == 2 * [(30, 2, "dp", "optimal", "search", "budget_exceeded")]
 
 
 def test_oracle_is_off_the_production_path(monkeypatch, tmp_path, capsys):
