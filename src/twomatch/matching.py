@@ -47,41 +47,6 @@ def matching_violation(g: Graph, edges: Iterable[Edge]) -> str | None:
     return None
 
 
-def _lca(match: list[int], base: list[int], parent: list[int], a: int, b: int) -> int:
-    """Meeting point of the two alternating tree walks, in base labels."""
-    seen = set()
-    while True:
-        a = base[a]
-        seen.add(a)
-        if match[a] == -1:
-            break
-        a = parent[match[a]]
-    while True:
-        b = base[b]
-        if b in seen:
-            return b
-        b = parent[match[b]]
-
-
-def _mark_blossom(
-    match: list[int],
-    base: list[int],
-    parent: list[int],
-    in_blossom: list[bool],
-    v: int,
-    stem: int,
-    child: int,
-) -> None:
-    """Walk v up to the blossom stem, recording members and rewiring parents
-    so the contracted cycle can be traversed in either direction."""
-    while base[v] != stem:
-        in_blossom[base[v]] = True
-        in_blossom[base[match[v]]] = True
-        parent[v] = child
-        child = match[v]
-        v = parent[match[v]]
-
-
 def _find_path_from(adj: list[list[int]], match: list[int], root: int) -> list[int] | None:
     """BFS for an augmenting path from ``root``; returns the vertex walk
     (exposed endpoint first, root last) or ``None``."""
@@ -91,6 +56,32 @@ def _find_path_from(adj: list[list[int]], match: list[int], root: int) -> list[i
     used = [False] * n
     used[root] = True
     queue = deque([root])
+
+    def lca(a: int, b: int) -> int:
+        """Meeting point of the two alternating tree walks, in base labels."""
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if b in seen:
+                return b
+            b = parent[match[b]]
+
+    def mark_blossom(in_blossom: list[bool], v: int, stem: int, child: int) -> None:
+        """Walk v up to the blossom stem, recording members and rewiring parents
+        so the contracted cycle can be traversed in either direction."""
+        while base[v] != stem:
+            in_blossom[base[v]] = True
+            in_blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
     while queue:
         v = queue.popleft()
         for u in adj[v]:
@@ -98,10 +89,10 @@ def _find_path_from(adj: list[list[int]], match: list[int], root: int) -> list[i
                 continue
             if u == root or (match[u] != -1 and parent[match[u]] != -1):
                 # u is an even (outer) vertex: contract the blossom
-                stem = _lca(match, base, parent, v, u)
+                stem = lca(v, u)
                 in_blossom = [False] * n
-                _mark_blossom(match, base, parent, in_blossom, v, stem, u)
-                _mark_blossom(match, base, parent, in_blossom, u, stem, v)
+                mark_blossom(in_blossom, v, stem, u)
+                mark_blossom(in_blossom, u, stem, v)
                 for i in range(n):
                     if in_blossom[base[i]]:
                         base[i] = stem
